@@ -107,12 +107,11 @@ func fleetBenchPlacement(b *testing.B, nodes int) [][]sim.AppConfig {
 // under a common-random-numbers seed policy (every node template runs the
 // same seed, the standard variance-reduction setup for comparing
 // placements). fleetEngine=true is the sharded production path: node
-// classes dedup to one simulation each, solves are shared cross-node, and
-// shards fan out over the worker pool. fleetEngine=false is the
-// sequential seed path — every node simulated in full with an isolated
-// solve memo, exactly as the pre-fleet cluster.Run ran it. Both paths
-// produce bit-identical Results (pinned by TestDedupMatchesFullSimulation
-// and TestFleetSharingDoesNotChangeResults); only the wall time differs.
+// classes dedup to one simulation each and shards fan out over the worker
+// pool. fleetEngine=false is the sequential baseline — every node
+// simulated in full, one at a time. Both paths produce bit-identical
+// Results (pinned by TestDedupMatchesFullSimulation); only the wall time
+// differs.
 func benchFleet(b *testing.B, fleetEngine bool) {
 	const nodes = 500
 	placement := fleetBenchPlacement(b, nodes)
@@ -132,7 +131,6 @@ func benchFleet(b *testing.B, fleetEngine bool) {
 			cfg.DedupIdenticalNodes = true
 		} else {
 			cfg.Parallel = 1
-			cfg.DisableSolveSharing = true
 		}
 		res, err := cluster.Run(cfg, opts)
 		if err != nil {
@@ -141,16 +139,14 @@ func benchFleet(b *testing.B, fleetEngine bool) {
 		stats = res.Stats
 	}
 	b.ReportMetric(float64(stats.NodesSimulated), "nodesims/op")
-	b.ReportMetric(float64(stats.SharedSolveHits), "sharedhits/op")
 }
 
-// BenchmarkFleet is the sharded fleet engine: node-class dedup plus
-// cross-node solve sharing — the fleet screening production path.
+// BenchmarkFleet is the sharded fleet engine with node-class dedup — the
+// fleet screening production path.
 func BenchmarkFleet(b *testing.B) { benchFleet(b, true) }
 
-// BenchmarkFleetSequential is the seed baseline: the same 500 nodes
-// simulated one by one with isolated solve memos, as the pre-sharding
-// cluster.Run ran them.
+// BenchmarkFleetSequential is the baseline: the same 500 nodes simulated
+// one by one, as the pre-sharding cluster.Run ran them.
 func BenchmarkFleetSequential(b *testing.B) { benchFleet(b, false) }
 
 // fleetSweepCandidates builds the candidate-evaluation workload for the
@@ -203,8 +199,8 @@ func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.
 
 // benchFleetSweep scores 5 candidate placements of one 100-node population
 // per iteration, exactly as a sweep does: common-random-numbers node seeds
-// (cluster.TemplateSeed), canonical intra-node order, within-Run dedup and
-// a shared solve cache in BOTH variants — the only difference is whether a
+// (cluster.TemplateSeed), canonical intra-node order and within-Run dedup
+// in BOTH variants — the only difference is whether a
 // sweep-scoped cluster.NodeCache carries completed node simulations across
 // the candidate Runs. Both variants produce bit-identical tables (pinned by
 // TestNodeCacheHitIsBitIdentical and the CI ext-fleet smoke); the benchmark
@@ -231,7 +227,6 @@ func benchFleetSweep(b *testing.B, cached bool) {
 		if cached {
 			nodeCache = cluster.NewNodeCache()
 		}
-		solves := sim.NewSolveCache()
 		sims, hits = 0, 0
 		for _, placement := range placements {
 			seeds := make([]int64, len(placement))
@@ -243,7 +238,6 @@ func benchFleetSweep(b *testing.B, cached bool) {
 				Seed:                1,
 				NewStrategy:         func(int) sched.Strategy { return arq.Default() },
 				Placement:           placement,
-				SharedSolves:        solves,
 				NodeSeed:            func(i int) int64 { return seeds[i] },
 				DedupIdenticalNodes: true,
 				NodeCache:           nodeCache,

@@ -35,15 +35,16 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/entropy"
 	"ahq/internal/faults"
+	"ahq/internal/machine"
 	"ahq/internal/sim"
 )
 
 // chaosClass is one unit equivalence class of a chaos run: the unit, its
-// cache/dedup key ("" = singleton, never cached), the (phase, node) pairs
-// it covers, and the phase's measured epochs (equal across members — the
-// key includes the options, which pin the phase shape).
+// NodeCache key (empty = never cached), the (phase, node) pairs it covers,
+// and the phase's measured epochs (equal across members — the key includes
+// the options, which pin the phase shape).
 type chaosClass struct {
-	key      string
+	key      cacheKey
 	unit     simUnit
 	members  []unitRef
 	measured int
@@ -57,7 +58,7 @@ type unitRef struct {
 // runChaos drives the fleet under the configured FleetPlan. cfg has been
 // validated by Run (placement non-empty, strategy present, no NodeSeed, no
 // KeepResults, NodeCache implies StrategyDigest).
-func runChaos(cfg Config, opts core.Options, ri float64, solves *sim.SolveCache) (*Result, error) {
+func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 	o := opts.WithDefaults()
 	totalEpochs := int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
 	warmEpochs := int(math.Ceil(o.WarmupMs / o.EpochMs))
@@ -71,80 +72,32 @@ func runChaos(cfg Config, opts core.Options, ri float64, solves *sim.SolveCache)
 	}
 	sched := supervise(plan, cfg.Placement, cfg.Spec, cfg.ReplaceEvicted, totalEpochs)
 
-	// Build the unit list in (phase, node) order and group it into
-	// classes. Down and empty nodes simulate nothing; phases entirely
-	// inside warm-up measure nothing and are skipped whole.
-	classes := make([]chaosClass, 0, n)
+	// Group the unit list into classes: under DedupIdenticalNodes equal
+	// keys share one simulation, and the key addresses the NodeCache.
+	classes := make([]chaosClass, 0, n*len(sched.phases)) // one per unit at most
 	index := make(map[string]int)
-	phaseMeasured := make([]int, len(sched.phases))
-	for pi := range sched.phases {
-		ph := &sched.phases[pi]
-		length := ph.end - ph.start
-		warmIn := warmEpochs - ph.start
-		if warmIn < 0 {
-			warmIn = 0
-		} else if warmIn > length {
-			warmIn = length
+	keyed := cfg.DedupIdenticalNodes || cfg.NodeCache != nil
+	chaosUnits(&cfg, plan, sched, o, ri, keyed, func(ref unitRef, u simUnit, key cacheKey, measured int) {
+		if key.s != "" && cfg.DedupIdenticalNodes {
+			if ci, dup := index[key.s]; dup {
+				classes[ci].members = append(classes[ci].members, ref)
+				return
+			}
+			index[key.s] = len(classes)
 		}
-		measured := length - warmIn
-		phaseMeasured[pi] = measured
-		if measured == 0 {
-			continue
+		if cfg.NodeCache == nil {
+			key = cacheKey{}
 		}
-		phOpts := core.Options{
-			EpochMs:    o.EpochMs,
-			DurationMs: float64(measured) * o.EpochMs,
-			RI:         o.RI,
-		}
-		if warmIn > 0 {
-			phOpts.WarmupMs = float64(warmIn) * o.EpochMs
-		} else {
-			phOpts.WarmupMs = -1 // negative = no warm-up, 0 would mean the default
-		}
-		for nd := 0; nd < n; nd++ {
-			if ph.down[nd] || len(ph.assign[nd]) == 0 {
-				continue
-			}
-			// Canonical intra-node order: equal phase contents become
-			// equal simulations, exactly as the sweeps do for placements.
-			apps := CanonicalOrder(ph.assign[nd])
-			spec := cfg.Spec
-			if ph.degraded[nd] {
-				spec = faults.DegradedSpec(spec)
-			}
-			u := simUnit{
-				node: nd, apps: apps, spec: spec,
-				seed:     TemplateSeed(cfg.Seed, apps),
-				opts:     phOpts,
-				blackout: plan.BlackoutPlan(nd, ph.start, ph.end),
-			}
-			key := ""
-			if cfg.DedupIdenticalNodes || cfg.NodeCache != nil {
-				key = chaosUnitKey(&cfg, u, ri)
-			}
-			if key != "" && cfg.DedupIdenticalNodes {
-				if ci, dup := index[key]; dup {
-					classes[ci].members = append(classes[ci].members, unitRef{pi, nd})
-					continue
-				}
-				index[key] = len(classes)
-			}
-			cacheKey := key
-			if cfg.NodeCache == nil {
-				cacheKey = ""
-			}
-			classes = append(classes, chaosClass{
-				key: cacheKey, unit: u,
-				members: []unitRef{{pi, nd}}, measured: measured,
-			})
-		}
-	}
+		classes = append(classes, chaosClass{
+			key: key, unit: u, members: []unitRef{ref}, measured: measured,
+		})
+	})
 
 	units := make([]shardUnit, len(classes))
 	for ci := range classes {
 		units[ci] = shardUnit{key: classes[ci].key, unit: classes[ci].unit}
 	}
-	outs, stats, err := runUnits(&cfg, units, solves)
+	outs, stats, err := runUnits(&cfg, units)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +155,7 @@ func runChaos(cfg Config, opts core.Options, ri float64, solves *sim.SolveCache)
 	// epochs, attributed to their (home) node; every dead LC app-epoch is
 	// a violation.
 	for pi := range sched.phases {
-		measured := phaseMeasured[pi]
+		_, measured := phaseWindow(&sched.phases[pi], warmEpochs)
 		if measured == 0 {
 			continue
 		}
@@ -274,35 +227,136 @@ func weightedSatisfied(samples []entropy.Weighted[entropy.LCSample]) (sat, tot f
 	return sat, tot
 }
 
-// chaosUnitKey serialises every input a chaos unit's simulation reads —
+// phaseWindow splits a phase into its warm-up overlap and its measured
+// epochs.
+func phaseWindow(ph *fleetPhase, warmEpochs int) (warmIn, measured int) {
+	length := ph.end - ph.start
+	warmIn = min(max(warmEpochs-ph.start, 0), length)
+	return warmIn, length - warmIn
+}
+
+// chaosUnits enumerates the schedule's simulation units in (phase, node)
+// order and hands each to emit with its (phase, node) address, its content
+// key and its phase's measured epochs. Down and empty nodes simulate
+// nothing; phases entirely inside warm-up measure nothing and are skipped
+// whole. With keyed unset, or for a template that is not
+// key-serialisable, the key is empty: such units are never grouped or
+// cached.
+//
+// A unit key serialises every input the unit's simulation reads —
 // capacity, per-phase controller options (post-default), aggregation RI,
 // engine tunables, strategy digest, blackout plan, seed, and the canonical
-// application template — into the unit's content address. The "chaos|"
-// namespace keeps chaos keys disjoint from legacy node keys in a shared
-// NodeCache. Returns "" when the template is not key-serialisable; such
-// units are never grouped or cached.
-func chaosUnitKey(cfg *Config, u simUnit, ri float64) string {
-	tk, ok := templateKey(u.apps)
-	if !ok {
-		return ""
+// application template. Everything up to the blackout is shared by the
+// phase's healthy (or degraded) nodes and is built once per phase; the
+// canonical order, template key and seed come from a per-node memo that
+// lives as long as the node's assignment slice (nodeTemplate).
+func chaosUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, o core.Options, ri float64, keyed bool, emit func(ref unitRef, u simUnit, key cacheKey, measured int)) {
+	warmEpochs := int(math.Ceil(o.WarmupMs / o.EpochMs))
+	degSpec := faults.DegradedSpec(cfg.Spec)
+	memo := make([]nodeTemplate, len(cfg.Placement))
+	for pi := range sched.phases {
+		ph := &sched.phases[pi]
+		warmIn, measured := phaseWindow(ph, warmEpochs)
+		if measured == 0 {
+			continue
+		}
+		phOpts := core.Options{
+			EpochMs:    o.EpochMs,
+			DurationMs: float64(measured) * o.EpochMs,
+			RI:         o.RI,
+		}
+		if warmIn > 0 {
+			phOpts.WarmupMs = float64(warmIn) * o.EpochMs
+		} else {
+			phOpts.WarmupMs = -1 // negative = no warm-up, 0 would mean the default
+		}
+		var prefix [2][]byte // healthy, degraded; built on first use
+		for nd := range ph.assign {
+			if ph.down[nd] || len(ph.assign[nd]) == 0 {
+				continue
+			}
+			t := memo[nd].of(cfg.Seed, ph.assign[nd])
+			spec, deg := cfg.Spec, 0
+			if ph.degraded[nd] {
+				spec, deg = degSpec, 1
+			}
+			u := simUnit{
+				node: nd, apps: t.apps, spec: spec, seed: t.seed, opts: phOpts,
+				blackout: plan.BlackoutPlan(nd, ph.start, ph.end),
+			}
+			var key cacheKey
+			if keyed && t.key != nil {
+				if prefix[deg] == nil {
+					prefix[deg] = chaosKeyPrefix(cfg, spec, phOpts, ri)
+				}
+				key = t.unitKey(prefix[deg], u.blackout)
+			}
+			emit(unitRef{pi, nd}, u, key, measured)
+		}
 	}
-	o := u.opts.WithDefaults()
-	b := make([]byte, 0, 256+len(tk))
+}
+
+// nodeTemplate memoises what the chaos engine derives from one node's
+// assignment: the canonical application order, the canonical template key
+// (nil when not key-serialisable) with its shard hash, and TemplateSeed.
+// supervise shares a node's assignment slice across phases until the
+// node's contents change (copy-on-write), and every earlier phase keeps
+// its slice alive, so the slice identity — first element and length —
+// stands for the contents and each assignment is serialised once rather
+// than once per phase.
+type nodeTemplate struct {
+	first *sim.AppConfig
+	n     int
+	apps  []sim.AppConfig
+	key   []byte
+	hash  uint64
+	seed  int64
+}
+
+// of returns the memo for assign (non-empty), rebuilding it when the
+// node's assignment slice changed since the last call.
+func (t *nodeTemplate) of(base int64, assign []sim.AppConfig) *nodeTemplate {
+	if t.first == &assign[0] && t.n == len(assign) {
+		return t
+	}
+	apps := CanonicalOrder(assign)
+	k, ok := templateKey(apps)
+	*t = nodeTemplate{first: &assign[0], n: len(assign), apps: apps, seed: templateSeed(base, apps, k, ok)}
+	if ok {
+		t.key, t.hash = k, fnv1a(k)
+	}
+	return t
+}
+
+// unitKey completes a unit's key: the phase prefix, the blackout plan, the
+// seed, and the template.
+func (t *nodeTemplate) unitKey(prefix []byte, blackout *faults.Plan) cacheKey {
+	bo := blackout.String()
+	b := make([]byte, 0, len(prefix)+len(bo)+32+len(t.key))
+	b = append(b, prefix...)
+	b = sim.AppendKeyString(b, bo)
+	b = sim.AppendKeyInt64(b, t.seed)
+	b = append(b, '|')
+	b = append(b, t.key...)
+	return cacheKey{s: string(b), hash: keyHash(t.seed, t.hash)}
+}
+
+// chaosKeyPrefix serialises the unit-key inputs one phase shares across
+// every node of one capacity. The "chaos|" namespace keeps chaos keys
+// disjoint from legacy node keys in a shared NodeCache.
+func chaosKeyPrefix(cfg *Config, spec machine.Spec, opts core.Options, ri float64) []byte {
+	o := opts.WithDefaults()
+	b := make([]byte, 0, 256)
 	b = append(b, "chaos|"...)
-	b = sim.AppendKeyInt(b, u.spec.Cores)
-	b = sim.AppendKeyInt(b, u.spec.LLCWays)
-	b = sim.AppendKeyInt(b, u.spec.MemBWUnits)
-	b = sim.AppendKeyFloat(b, u.spec.MemBWGBps)
+	b = sim.AppendKeyInt(b, spec.Cores)
+	b = sim.AppendKeyInt(b, spec.LLCWays)
+	b = sim.AppendKeyInt(b, spec.MemBWUnits)
+	b = sim.AppendKeyFloat(b, spec.MemBWGBps)
 	b = sim.AppendKeyFloat(b, o.EpochMs)
 	b = sim.AppendKeyFloat(b, o.WarmupMs)
 	b = sim.AppendKeyFloat(b, o.DurationMs)
 	b = sim.AppendKeyFloat(b, o.RI)
 	b = sim.AppendKeyFloat(b, ri)
 	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
-	b = sim.AppendKeyString(b, cfg.StrategyDigest)
-	b = sim.AppendKeyString(b, u.blackout.String())
-	b = sim.AppendKeyInt64(b, u.seed)
-	b = append(b, '|')
-	b = append(b, tk...)
-	return string(b)
+	return sim.AppendKeyString(b, cfg.StrategyDigest)
 }

@@ -2,15 +2,16 @@ package cluster
 
 // Chaos-engine coverage: determinism of the phased fleet run at every
 // parallelism level, conservation of the application multiset across
-// evict/re-place, failure absorption (a broken node must not abort the
-// fleet), future draining on shard errors, and the NodeCache
-// negative-caching regression (errored entries must be dropped, not
-// served as empty successes).
+// evict/re-place, memoised unit keys against a from-scratch serialisation,
+// failure absorption (a broken node must not abort the fleet), future
+// draining on shard errors, and the NodeCache negative-caching regression
+// (errored entries must be dropped, not served as empty successes).
 
 import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,6 +99,112 @@ func TestChaosDeterministicWithNodeCache(t *testing.T) {
 	}
 	if b.Stats.NodeCacheHits == 0 {
 		t.Error("second chaos run hit the NodeCache zero times")
+	}
+}
+
+// chaosUnitKey is the from-scratch reference serialisation of a chaos
+// unit's content key: capacity, per-phase controller options
+// (post-default), aggregation RI, engine tunables, strategy digest,
+// blackout plan, seed and canonical template, in one pass. Returns "" when
+// the template is not key-serialisable.
+func chaosUnitKey(cfg *Config, u simUnit, ri float64) string {
+	tk, ok := templateKey(u.apps)
+	if !ok {
+		return ""
+	}
+	o := u.opts.WithDefaults()
+	b := []byte("chaos|")
+	b = sim.AppendKeyInt(b, u.spec.Cores)
+	b = sim.AppendKeyInt(b, u.spec.LLCWays)
+	b = sim.AppendKeyInt(b, u.spec.MemBWUnits)
+	b = sim.AppendKeyFloat(b, u.spec.MemBWGBps)
+	b = sim.AppendKeyFloat(b, o.EpochMs)
+	b = sim.AppendKeyFloat(b, o.WarmupMs)
+	b = sim.AppendKeyFloat(b, o.DurationMs)
+	b = sim.AppendKeyFloat(b, o.RI)
+	b = sim.AppendKeyFloat(b, ri)
+	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
+	b = sim.AppendKeyString(b, cfg.StrategyDigest)
+	b = sim.AppendKeyString(b, u.blackout.String())
+	b = sim.AppendKeyInt64(b, u.seed)
+	b = append(b, '|')
+	b = append(b, tk...)
+	return string(b)
+}
+
+// TestChaosUnitKeysMatchFromScratch pins the per-node template memo and the
+// per-phase key prefix: under crashes, a degrade, blackouts and (with
+// ReplaceEvicted) re-placement, every unit's applications, seed, key and
+// shard hash must equal what a from-scratch canonicalisation and
+// serialisation of the phase's assignment gives — so NodeCache traffic and
+// output cannot depend on the memo. A re-placement target must get a fresh
+// template, seed and key once its assignment changes.
+func TestChaosUnitKeysMatchFromScratch(t *testing.T) {
+	const plan = "crash@6x3/nodes=2,degrade@5+/nodes=1,blackout@7x2/nodes=2"
+	const ri = 0.8
+	for _, replace := range []bool{true, false} {
+		cfg := chaosConfig(1, plan, replace)
+		cfg.StrategyDigest = "arq:default"
+		o := quickOpts().WithDefaults()
+		total := int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
+		resolved, err := cfg.FleetPlan.Resolve(cfg.Seed, len(cfg.Placement))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := supervise(resolved, cfg.Placement, cfg.Spec, replace, total)
+
+		type seen struct {
+			apps []sim.AppConfig
+			seed int64
+		}
+		prev := make(map[int]seen)
+		var units, degraded, blackedOut, refreshed int
+		chaosUnits(&cfg, resolved, sched, o, ri, true, func(ref unitRef, u simUnit, key cacheKey, measured int) {
+			units++
+			ph := &sched.phases[ref.phase]
+			apps := CanonicalOrder(ph.assign[ref.node])
+			spec := cfg.Spec
+			if ph.degraded[ref.node] {
+				spec = faults.DegradedSpec(spec)
+				degraded++
+			}
+			blackout := resolved.BlackoutPlan(ref.node, ph.start, ph.end)
+			if !blackout.Empty() {
+				blackedOut++
+			}
+			want := simUnit{
+				node: ref.node, apps: apps, spec: spec,
+				seed: TemplateSeed(cfg.Seed, apps), opts: u.opts, blackout: blackout,
+			}
+			if !reflect.DeepEqual(u, want) {
+				t.Errorf("replace=%v phase %d node %d: unit %+v, from scratch %+v", replace, ref.phase, ref.node, u, want)
+			}
+			if got := u.opts.DurationMs; got != float64(measured)*o.EpochMs {
+				t.Errorf("replace=%v phase %d: DurationMs %v for %d measured epochs", replace, ref.phase, got, measured)
+			}
+			if wantKey := chaosUnitKey(&cfg, want, ri); key.s != wantKey {
+				t.Errorf("replace=%v phase %d node %d: memoised key differs from scratch\n got %q\nwant %q",
+					replace, ref.phase, ref.node, key.s, wantKey)
+			}
+			tk, _ := templateKey(apps)
+			if h := keyHash(want.seed, fnv1a(tk)); key.hash != h {
+				t.Errorf("replace=%v phase %d node %d: shard hash %x, from scratch %x", replace, ref.phase, ref.node, key.hash, h)
+			}
+			if p, ok := prev[ref.node]; ok && len(p.apps) != len(apps) {
+				// The node's contents changed: a re-placement landed here.
+				refreshed++
+				if u.seed == p.seed || !strings.HasSuffix(key.s, "|"+string(tk)) {
+					t.Errorf("replace=%v phase %d node %d: key not refreshed after the assignment changed", replace, ref.phase, ref.node)
+				}
+			}
+			prev[ref.node] = seen{u.apps, u.seed}
+		})
+		if units == 0 || degraded == 0 || blackedOut == 0 {
+			t.Errorf("replace=%v: %d units, %d degraded, %d blacked out; plan not exercised", replace, units, degraded, blackedOut)
+		}
+		if replace && refreshed == 0 {
+			t.Error("no re-placement target changed contents; re-placement not exercised")
+		}
 	}
 }
 
@@ -284,31 +391,32 @@ func TestRunDrainsFuturesOnError(t *testing.T) {
 // rather than replayed as an empty success.
 func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	c := NewNodeCache()
-	e, claimed := c.claim("k")
+	k := cacheKey{s: "k"}
+	e, claimed := c.claim(k)
 	if !claimed {
 		t.Fatal("fresh key not claimable")
 	}
-	w, ok := c.lookup("k")
+	w, ok := c.lookup(k)
 	if !ok || w != e {
 		t.Fatal("in-flight entry not visible to lookup")
 	}
-	c.publish("k", e, classOut{}, errors.New("boom"))
+	c.publish(k, e, classOut{}, errors.New("boom"))
 	if _, err := w.wait(); err == nil {
 		t.Error("waiter did not observe the publish error")
 	}
-	if _, ok := c.lookup("k"); ok {
+	if _, ok := c.lookup(k); ok {
 		t.Fatal("errored entry still cached after publish")
 	}
 	if c.Len() != 0 {
 		t.Errorf("cache Len = %d after dropping its only entry", c.Len())
 	}
 	// The key must be claimable again, and a successful publish sticks.
-	e2, claimed := c.claim("k")
+	e2, claimed := c.claim(k)
 	if !claimed {
 		t.Fatal("key not re-claimable after an errored publish")
 	}
-	c.publish("k", e2, classOut{sum: NodeSummary{Epochs: 7}}, nil)
-	got, ok := c.lookup("k")
+	c.publish(k, e2, classOut{sum: NodeSummary{Epochs: 7}}, nil)
+	got, ok := c.lookup(k)
 	if !ok {
 		t.Fatal("successful publish not cached")
 	}

@@ -8,10 +8,10 @@
 // Run is a sharded fleet engine: the node index space is cut into
 // contiguous shards, shards fan out over a bounded worker pool
 // (internal/pool, the same implementation the experiment harness uses),
-// and every node's engine threads one shared contention-solve cache —
-// fleet mixes recur massively across nodes, so after the first few nodes
-// almost every steady-state solve is a cache adoption rather than a
-// fixed-point iteration. Aggregation is streaming: each shard accumulates
+// and every node runs its own engine with a private contention-solve memo.
+// Fleet mixes recur massively across nodes, so whole node simulations are
+// collapsed instead: DedupIdenticalNodes within a Run, a NodeCache across
+// Runs (nodecache.go). Aggregation is streaming: each shard accumulates
 // run-level entropy samples and compact per-node summaries as its nodes
 // finish, per-node core.Results are discarded by default (KeepResults
 // retains them), and shard accumulators are merged in node order — so a
@@ -89,16 +89,6 @@ type Config struct {
 	// tunables) does, and the factory must return node-index-agnostic
 	// instances, exactly as DedupIdenticalNodes already requires.
 	StrategyDigest string
-	// SharedSolves optionally supplies the cross-node contention-solve
-	// cache. Nil means Run creates a fleet-private one; callers that sweep
-	// several fleets over the same mixes (the experiment harness) pass a
-	// sweep-scoped cache so solves carry across Run invocations too.
-	// Sharing is bit-exact, so it never changes results.
-	SharedSolves *sim.SolveCache
-	// DisableSolveSharing runs every node engine with an isolated solve
-	// memo — the pre-fleet sequential baseline path, kept for benchmark
-	// comparison. It overrides SharedSolves.
-	DisableSolveSharing bool
 	// KeepResults retains the full per-node core.Result in Result.Nodes.
 	// Off by default: at fleet scale the per-node results dominate memory,
 	// and the compact NodeSummary carries everything aggregation needs.
@@ -164,8 +154,8 @@ type NodeSummary struct {
 }
 
 // FleetStats aggregates fleet-wide counters. The solve/cache counters
-// depend on worker scheduling (which engine reached a vector first), so
-// they are for benchmarks and logs, never deterministic output. The
+// depend on worker scheduling (which shard reached a NodeCache key first),
+// so they are for benchmarks and logs, never deterministic output. The
 // incident counters (FailedNodes, DownEpochs, Evictions) are derived from
 // the per-node summaries and ARE deterministic.
 type FleetStats struct {
@@ -176,8 +166,8 @@ type FleetStats struct {
 	// equivalence classes.
 	NodesSimulated int
 	// MemoHits are per-engine memo hits, Solves are full fixed-point
-	// solves, SharedSolveHits are solves adopted from the cross-node cache.
-	MemoHits, Solves, SharedSolveHits uint64
+	// solves, summed over the engines actually driven.
+	MemoHits, Solves uint64
 	// NodeCacheHits counts node classes whose simulation was replayed
 	// from Config.NodeCache instead of being run.
 	NodeCacheHits uint64
@@ -217,7 +207,7 @@ type Result struct {
 	// eviction-to-re-placement latency over successful re-placements.
 	Evictions, Replacements, Abandoned int
 	MeanRecoveryEpochs                 float64
-	// Stats carries fleet-wide solve-cache instrumentation.
+	// Stats carries fleet-wide work counters.
 	Stats FleetStats
 }
 
@@ -245,12 +235,11 @@ type statsCollector struct {
 }
 
 // add merges one shard's counters.
-func (c *statsCollector) add(simulated int, hits, solves, shared, nodeHits uint64) {
+func (c *statsCollector) add(simulated int, hits, solves, nodeHits uint64) {
 	c.mu.Lock()
 	c.stats.NodesSimulated += simulated
 	c.stats.MemoHits += hits
 	c.stats.Solves += solves
-	c.stats.SharedSolveHits += shared
 	c.stats.NodeCacheHits += nodeHits
 	c.mu.Unlock()
 }
@@ -409,14 +398,8 @@ func Run(cfg Config, opts core.Options) (*Result, error) {
 	if ri == 0 {
 		ri = entropy.DefaultRI
 	}
-	solves := cfg.SharedSolves
-	if cfg.DisableSolveSharing {
-		solves = nil
-	} else if solves == nil {
-		solves = sim.NewSolveCache()
-	}
 	if !cfg.FleetPlan.Empty() {
-		return runChaos(cfg, opts, ri, solves)
+		return runChaos(cfg, opts, ri)
 	}
 
 	n := len(cfg.Placement)
@@ -441,7 +424,7 @@ func Run(cfg Config, opts core.Options) (*Result, error) {
 			units[ci].key = nodeKey(keyPrefix, c.seed, c.template)
 		}
 	}
-	outs, stats, err := runUnits(&cfg, units, solves)
+	outs, stats, err := runUnits(&cfg, units)
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +487,7 @@ func addIncidentCounters(res *Result) {
 // longer strands its siblings: every future is drained before the first
 // error is returned, so no goroutine is left writing the collector after
 // Run has handed control back to the caller.
-func runUnits(cfg *Config, units []shardUnit, solves *sim.SolveCache) ([]classOut, FleetStats, error) {
+func runUnits(cfg *Config, units []shardUnit) ([]classOut, FleetStats, error) {
 	ex := workpool.New(cfg.Parallel)
 	stats := &statsCollector{}
 	shards := shardsFor(len(units), ex.Workers())
@@ -515,7 +498,7 @@ func runUnits(cfg *Config, units []shardUnit, solves *sim.SolveCache) ([]classOu
 		hi := (s + 1) * len(units) / shards
 		shard := s
 		futs = append(futs, workpool.Submit(ex, func() (*shardAccum, error) {
-			return runShard(*cfg, shard, units[lo:hi], solves, stats)
+			return runShard(*cfg, shard, units[lo:hi], stats)
 		}))
 	}
 	outs := make([]classOut, 0, len(units))
@@ -542,8 +525,8 @@ func runUnits(cfg *Config, units []shardUnit, solves *sim.SolveCache) ([]classOu
 // instance suffix ("xapian", "xapian#2", ...). Fleet populations replicate
 // a small catalog of service templates, so placements routinely co-locate
 // two instances of the same template; the engine requires distinct names.
-// Renaming copies the workload struct — the name never enters the solve
-// key or any numeric path, so instances share solves exactly like
+// Renaming copies the workload struct — the name never enters any
+// numeric path, so renamed instances simulate exactly like
 // identically-named apps would. Placements with unique names pass through
 // untouched.
 func uniquify(apps []sim.AppConfig) []sim.AppConfig {
@@ -591,7 +574,7 @@ type simUnit struct {
 // empty key means uncached (no cache configured, or the template is not
 // key-serialisable).
 type shardUnit struct {
-	key  string
+	key  cacheKey
 	unit simUnit
 }
 
@@ -613,18 +596,18 @@ var shardFailHook func(shard int) error
 // then absorbed into a Failed record carrying saturated dead-window
 // samples, and the run continues. Full per-node results are dropped unless
 // the configuration keeps them.
-func runShard(cfg Config, shard int, units []shardUnit, solves *sim.SolveCache, stats *statsCollector) (*shardAccum, error) {
+func runShard(cfg Config, shard int, units []shardUnit, stats *statsCollector) (*shardAccum, error) {
 	if shardFailHook != nil {
 		if err := shardFailHook(shard); err != nil {
 			return nil, err
 		}
 	}
 	acc := &shardAccum{outs: make([]classOut, 0, len(units))}
-	var hits, solvesN, shared, nodeHits uint64
+	var hits, solves, nodeHits uint64
 	simulated := 0
 	for _, su := range units {
 		var entry *nodeCacheEntry
-		if su.key != "" {
+		if su.key.s != "" {
 			if e, ok := cfg.NodeCache.lookup(su.key); ok {
 				if co, err := e.wait(); err == nil {
 					acc.outs = append(acc.outs, co)
@@ -648,7 +631,7 @@ func runShard(cfg Config, shard int, units []shardUnit, solves *sim.SolveCache, 
 			// entry == nil here means the shard was full or a racer
 			// failed: simulate without publishing.
 		}
-		co, cs, err := simulateUnit(&cfg, su.unit, solves)
+		co, cs, err := simulateUnit(&cfg, su.unit)
 		if entry != nil {
 			cfg.NodeCache.publish(su.key, entry, co, err)
 		}
@@ -660,26 +643,22 @@ func runShard(cfg Config, shard int, units []shardUnit, solves *sim.SolveCache, 
 		acc.outs = append(acc.outs, co)
 		simulated++
 		hits += cs.memoHits
-		solvesN += cs.solves
-		shared += cs.sharedHits
+		solves += cs.solves
 	}
-	stats.add(simulated, hits, solvesN, shared, nodeHits)
+	stats.add(simulated, hits, solves, nodeHits)
 	return acc, nil
 }
 
 // classSolveStats carries one simulated unit's engine solve counters.
 type classSolveStats struct {
-	memoHits, solves, sharedHits uint64
+	memoHits, solves uint64
 }
 
 // simulateUnit runs one unit's simulation end to end and condenses it into
 // its record. A blackout plan wraps the engine with the PR 4 drop injector
 // so every application's telemetry vanishes over the planned epochs.
-func simulateUnit(cfg *Config, u simUnit, solves *sim.SolveCache) (classOut, classSolveStats, error) {
-	engine, err := sim.New(sim.Config{
-		Spec: u.spec, Seed: u.seed,
-		Apps: uniquify(u.apps), SharedSolves: solves,
-	})
+func simulateUnit(cfg *Config, u simUnit) (classOut, classSolveStats, error) {
+	engine, err := sim.New(sim.Config{Spec: u.spec, Seed: u.seed, Apps: uniquify(u.apps)})
 	if err != nil {
 		return classOut{}, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
 	}
@@ -715,7 +694,7 @@ func simulateUnit(cfg *Config, u simUnit, solves *sim.SolveCache) (classOut, cla
 		co.res = nodeRes
 	}
 	var cs classSolveStats
-	cs.memoHits, cs.solves, cs.sharedHits = engine.SolveStats()
+	cs.memoHits, cs.solves = engine.SolveStats()
 	return co, cs, nil
 }
 

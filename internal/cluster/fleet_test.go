@@ -122,26 +122,3 @@ func TestDedupRespectsDistinctSeeds(t *testing.T) {
 			res.Stats.NodesSimulated, res.Stats.NodesRun)
 	}
 }
-
-// TestFleetSharingDoesNotChangeResults pins the SolveCache contract at
-// fleet scale: cross-node sharing is a pure memoisation — bit-identical
-// keys return bit-identical vectors — so disabling it must not move a
-// single output value.
-func TestFleetSharingDoesNotChangeResults(t *testing.T) {
-	shared, err := Run(fleetConfig(4), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fleetConfig(4)
-	cfg.DisableSolveSharing = true
-	private, err := Run(cfg, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(deterministicView(shared), deterministicView(private)) {
-		t.Error("solve sharing changed fleet results")
-	}
-	if shared.Stats.SharedSolveHits == 0 {
-		t.Error("homogeneous fleet produced no shared solve hits; sharing is not wired")
-	}
-}

@@ -12,12 +12,12 @@ package cluster
 //
 // NodeCache extends the collapse to the whole sweep: a concurrency-safe,
 // sharded, bounded, content-addressed cache of *completed node
-// simulations*, in the mold of sim.SolveCache one level up. The key is a
-// bit-exact serialisation of every input a node simulation reads — machine
-// spec, core.Options, RI, the engine tunables, a caller-supplied strategy
-// identity digest, the node seed, and the canonical application template
-// list, floats encoded by their IEEE-754 bit patterns — and the value is
-// the node's classOut (summary template plus entropy samples). A hit
+// simulations*. The key is a bit-exact serialisation of every input a
+// node simulation reads — machine spec, core.Options, RI, the engine
+// tunables, a caller-supplied strategy identity digest, the node seed,
+// and the canonical application template list, floats encoded by their
+// IEEE-754 bit patterns — and the value is the node's classOut (summary
+// template plus entropy samples). A hit
 // therefore replays the exact record the identical computation produced
 // elsewhere, and output stays byte-identical by construction; only wall
 // time changes. Entries are published through a single-flight protocol:
@@ -43,11 +43,11 @@ import (
 // lock; a small power of two keeps the shard pick free.
 const nodeCacheShardCount = 8
 
-// nodeCacheShardMaxEntries bounds each shard. As with the solve cache the
-// bound exists to cap memory under adversarial key diversity, not to
-// evict: a full shard stops accepting inserts and keeps its early entries.
-// 8 shards x 1024 entries covers every unique node content a fleet sweep
-// of tens of thousands of nodes produces over a quantised population.
+// nodeCacheShardMaxEntries bounds each shard. The bound exists to cap
+// memory under adversarial key diversity, not to evict: a full shard
+// stops accepting inserts and keeps its early entries. 8 shards x 1024
+// entries covers every unique node content a fleet sweep of tens of
+// thousands of nodes produces over a quantised population.
 const nodeCacheShardMaxEntries = 1 << 10
 
 // NodeCache is a sweep-scoped, concurrency-safe, bounded cache of
@@ -126,14 +126,41 @@ func (c *NodeCache) Stats() NodeCacheStats {
 	return st
 }
 
-// shardFor picks the shard by FNV-1a over the key.
-func (c *NodeCache) shardFor(key string) *nodeCacheShard {
+// cacheKey is a NodeCache content address together with the hash that
+// routes it to a shard. The hash is computed once, while the key is built,
+// from the key's seed and template components (keyHash), so lookup, claim
+// and publish never rehash the key's hundreds of bytes. Equal keys have
+// equal components and therefore equal hashes, which is all routing needs;
+// the shard never reaches output.
+type cacheKey struct {
+	s    string
+	hash uint64
+}
+
+// shardFor picks the key's shard.
+func (c *NodeCache) shardFor(k cacheKey) *nodeCacheShard {
+	return &c.shards[k.hash%nodeCacheShardCount]
+}
+
+// fnv1a is the 64-bit FNV-1a hash of b.
+func fnv1a[T string | []byte](b T) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
-	return &c.shards[h%nodeCacheShardCount]
+	return h
+}
+
+// keyHash derives a key's shard hash from its seed and the FNV-1a hash of
+// its template serialisation, with a murmur3 finaliser so every bit of the
+// result depends on both.
+func keyHash(seed int64, templateHash uint64) uint64 {
+	h := templateHash ^ uint64(seed)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // lookup returns the entry under key, if any — completed or in flight; the
@@ -141,10 +168,10 @@ func (c *NodeCache) shardFor(key string) *nodeCacheShard {
 // node in a warm sweep.
 //
 //ahq:hotpath
-func (c *NodeCache) lookup(key string) (*nodeCacheEntry, bool) {
+func (c *NodeCache) lookup(key cacheKey) (*nodeCacheEntry, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	e, ok := s.entries[key]
+	e, ok := s.entries[key.s]
 	if ok {
 		s.hits++
 	}
@@ -158,10 +185,10 @@ func (c *NodeCache) lookup(key string) (*nodeCacheEntry, bool) {
 // the key first the existing entry is returned with claimed=false (wait on
 // it like a lookup hit), and when the shard is full claim returns
 // (nil, false): simulate without publishing.
-func (c *NodeCache) claim(key string) (e *nodeCacheEntry, claimed bool) {
+func (c *NodeCache) claim(key cacheKey) (e *nodeCacheEntry, claimed bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+	if e, ok := s.entries[key.s]; ok {
 		s.hits++
 		s.mu.Unlock()
 		return e, false
@@ -172,7 +199,7 @@ func (c *NodeCache) claim(key string) (e *nodeCacheEntry, claimed bool) {
 		return nil, false
 	}
 	e = &nodeCacheEntry{done: make(chan struct{})}
-	s.entries[key] = e
+	s.entries[key.s] = e
 	s.misses++
 	s.mu.Unlock()
 	return e, true
@@ -193,15 +220,15 @@ func (e *nodeCacheEntry) complete(out classOut, err error) {
 // re-simulated (the engine absorbs the failure into a dead record either
 // way, but a transient claimant bug must not become a sweep-wide fact).
 // The identity check keeps a racing re-claimant's fresh entry intact.
-func (c *NodeCache) publish(key string, e *nodeCacheEntry, out classOut, err error) {
+func (c *NodeCache) publish(key cacheKey, e *nodeCacheEntry, out classOut, err error) {
 	e.complete(out, err)
 	if err == nil {
 		return
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if s.entries[key] == e {
-		delete(s.entries, key)
+	if s.entries[key.s] == e {
+		delete(s.entries, key.s)
 	}
 	s.mu.Unlock()
 }
@@ -258,12 +285,12 @@ func nodeKeyPrefix(cfg *Config, opts core.Options, ri float64) []byte {
 
 // nodeKey completes a class's cache key: the Run-level prefix, the class
 // seed, and the canonical template serialisation.
-func nodeKey(prefix []byte, seed int64, template string) string {
+func nodeKey(prefix []byte, seed int64, template string) cacheKey {
 	b := make([]byte, 0, len(prefix)+20+len(template))
 	b = append(b, prefix...)
 	b = sim.AppendKeyInt64(b, seed)
 	b = append(b, template...)
-	return string(b)
+	return cacheKey{s: string(b), hash: keyHash(seed, fnv1a(template))}
 }
 
 // TemplateSeed derives a node seed from the node's application template:
@@ -277,6 +304,12 @@ func nodeKey(prefix []byte, seed int64, template string) string {
 // coincide across templates that differ only in unserialisable state,
 // which is harmless — the classing layer never groups such nodes).
 func TemplateSeed(base int64, apps []sim.AppConfig) int64 {
+	k, ok := templateKey(apps)
+	return templateSeed(base, apps, k, ok)
+}
+
+// templateSeed is TemplateSeed over an already computed templateKey result.
+func templateSeed(base int64, apps []sim.AppConfig, k []byte, ok bool) int64 {
 	h := uint64(14695981039346656037)
 	mix := func(bs []byte) {
 		for _, c := range bs {
@@ -289,7 +322,7 @@ func TemplateSeed(base int64, apps []sim.AppConfig) int64 {
 		seedBuf[i] = byte(uint64(base) >> (8 * i))
 	}
 	mix(seedBuf[:])
-	if k, ok := templateKey(apps); ok {
+	if ok {
 		mix(k)
 	} else {
 		for _, a := range apps {

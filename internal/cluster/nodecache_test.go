@@ -153,42 +153,35 @@ func TestNodeCacheRequiresStrategyDigest(t *testing.T) {
 func TestNodeCacheBounded(t *testing.T) {
 	c := NewNodeCache()
 	// Drive one shard to capacity with synthetic keys routed to it.
-	shard := c.shardFor("pin")
-	inserted := 0
-	for i := 0; inserted < nodeCacheShardMaxEntries; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if c.shardFor(key) != shard {
-			continue
-		}
+	const hash = 3
+	for i := 0; i < nodeCacheShardMaxEntries; i++ {
+		key := cacheKey{s: fmt.Sprintf("k%d", i), hash: hash}
 		e, claimed := c.claim(key)
 		if !claimed {
-			t.Fatalf("fresh key %q not claimed", key)
+			t.Fatalf("fresh key %q not claimed", key.s)
 		}
 		e.complete(classOut{}, nil)
-		inserted++
 	}
 	before := c.Len()
-	rejects := 0
-	for i := 0; rejects < 3; i++ {
-		key := fmt.Sprintf("overflow%d", i)
-		if c.shardFor(key) != shard {
-			continue
-		}
+	for i := 0; i < 3; i++ {
+		key := cacheKey{s: fmt.Sprintf("overflow%d", i), hash: hash}
 		if e, claimed := c.claim(key); claimed || e != nil {
-			t.Fatalf("full shard accepted key %q", key)
+			t.Fatalf("full shard accepted key %q", key.s)
 		}
-		rejects++
 	}
 	if c.Len() != before {
 		t.Errorf("full shard grew: %d -> %d", before, c.Len())
 	}
 	st := c.Stats()
-	if st.Full < 3 {
-		t.Errorf("Full counter = %d, want >= 3", st.Full)
+	if st.Full != 3 {
+		t.Errorf("Full counter = %d, want 3", st.Full)
 	}
-	// Existing entries still hit.
-	if _, ok := c.lookup("k0"); c.shardFor("k0") == shard && !ok {
+	// Existing entries still hit, and other shards still accept inserts.
+	if _, ok := c.lookup(cacheKey{s: "k0", hash: hash}); !ok {
 		t.Error("bounded shard lost an existing entry")
+	}
+	if _, claimed := c.claim(cacheKey{s: "elsewhere", hash: hash + 1}); !claimed {
+		t.Error("a full shard blocked inserts into another shard")
 	}
 }
 
@@ -205,6 +198,7 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 		results []float64 // guarded by mu
 	)
 	want := classOut{sum: NodeSummary{ES: 0.125}}
+	key := cacheKey{s: "contested"}
 	start := make(chan struct{})
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -212,9 +206,9 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 			defer wg.Done()
 			<-start
 			var co classOut
-			if e, ok := c.lookup("contested"); ok {
+			if e, ok := c.lookup(key); ok {
 				co, _ = e.wait()
-			} else if e, claimed := c.claim("contested"); claimed {
+			} else if e, claimed := c.claim(key); claimed {
 				mu.Lock()
 				claims++
 				mu.Unlock()

@@ -70,11 +70,8 @@ func runExtCluster(cfg RunConfig) (*Result, error) {
 				NewStrategy: func(int) sched.Strategy { return arqFactory() },
 				Placement:   placement,
 				// Nodes run inline: the experiment pool already bounds
-				// concurrency across the three placements. The shared
-				// solve cache is bit-exact, so threading it through
-				// cannot change a printed byte.
-				Parallel:     1,
-				SharedSolves: pl.solves,
+				// concurrency across the three placements.
+				Parallel: 1,
 			}, opts)
 			if err != nil {
 				return clusterOut{}, err

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"strings"
 	"unicode/utf8"
-
-	"ahq/internal/sim"
 )
 
 // RunConfig parameterises a runner invocation.
@@ -27,11 +25,6 @@ type RunConfig struct {
 	// Results are assembled in declaration order, so output is identical
 	// at every parallelism level.
 	Parallel int
-	// Solves is the sweep's shared contention-solve cache, injected by
-	// the pool (runMixAsync); nil runs each engine isolated. Sharing is
-	// bit-exact, so it never changes results — only how often a row must
-	// re-derive a solve a sibling row already computed.
-	Solves *sim.SolveCache
 	// FleetNodeCacheOff disables the ext-fleet sweep's node-outcome
 	// cache (cluster.NodeCache), forcing every placement to re-simulate
 	// node contents other placements already ran. The cache is bit-exact

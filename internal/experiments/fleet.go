@@ -68,8 +68,7 @@ func fleetPopulation(seed int64, nodes int) []sim.AppConfig {
 // quantifies interference for a whole fleet, so it can rank placement
 // strategies at 100, 1000 and 5000 nodes, not just schedulers on one box.
 // Every fleet runs through the sharded cluster engine — nodes fan out over
-// the worker pool and share one contention-solve cache — with per-node ARQ
-// managing each box.
+// the worker pool — with per-node ARQ managing each box.
 //
 // The sweep is a screening comparison, so it runs under common random
 // numbers: each node's seed derives from its (canonically ordered)
@@ -90,11 +89,8 @@ func runExtFleet(cfg RunConfig) (*Result, error) {
 	warm, dur := fleetHorizons(cfg)
 	opts := core.Options{EpochMs: 500, WarmupMs: warm, DurationMs: dur}
 	spec := machine.DefaultSpec()
-	// One solve cache for the whole sweep: mixes recur across fleets as
-	// well as within them, and sharing is bit-exact by construction.
-	solves := sim.NewSolveCache()
-	// One node-outcome cache for the whole sweep, same argument one level
-	// up: node contents recur across placements and fleet sizes.
+	// One node-outcome cache for the whole sweep: node contents recur
+	// across placements and fleet sizes, and replay is bit-exact.
 	var nodeCache *cluster.NodeCache
 	if !cfg.FleetNodeCacheOff {
 		nodeCache = cluster.NewNodeCache()
@@ -139,7 +135,6 @@ func runExtFleet(cfg RunConfig) (*Result, error) {
 				NewStrategy:         func(int) sched.Strategy { return arqFactory() },
 				Placement:           placement,
 				Parallel:            cfg.Parallel,
-				SharedSolves:        solves,
 				NodeSeed:            func(i int) int64 { return seeds[i] },
 				DedupIdenticalNodes: true,
 				NodeCache:           nodeCache,
@@ -152,9 +147,9 @@ func runExtFleet(cfg RunConfig) (*Result, error) {
 				run.GlobalELC, run.GlobalEBE, run.GlobalES,
 				fmtPct(run.GlobalYield), fmt.Sprintf("%.2f%%", 100*run.ViolationRate()))
 			elapsed := time.Since(start).Round(time.Millisecond) //ahqlint:allow detflow wall-clock timing goes to stderr only; stdout stays deterministic
-			fmt.Fprintf(os.Stderr, "(ext-fleet %d nodes %s: %v, %d/%d nodes simulated, %d node-cache hits, %d shared solve hits)\n",
+			fmt.Fprintf(os.Stderr, "(ext-fleet %d nodes %s: %v, %d/%d nodes simulated, %d node-cache hits)\n",
 				nodes, s.label, elapsed, run.Stats.NodesSimulated, run.Stats.NodesRun,
-				run.Stats.NodeCacheHits, run.Stats.SharedSolveHits)
+				run.Stats.NodeCacheHits)
 		}
 	}
 	tab.Notes = append(tab.Notes,

@@ -10,7 +10,6 @@ import (
 	"ahq/internal/faults"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
-	"ahq/internal/sim"
 )
 
 func init() {
@@ -70,7 +69,6 @@ func fleetChaosSweep(cfg RunConfig) ([]fleetChaosCell, error) {
 	warm, dur, crashEpoch := fleetChaosHorizons(cfg)
 	opts := core.Options{EpochMs: 500, WarmupMs: warm, DurationMs: dur}
 	spec := machine.DefaultSpec()
-	solves := sim.NewSolveCache()
 	var nodeCache *cluster.NodeCache
 	if !cfg.FleetNodeCacheOff {
 		nodeCache = cluster.NewNodeCache()
@@ -95,7 +93,6 @@ func fleetChaosSweep(cfg RunConfig) ([]fleetChaosCell, error) {
 			NewStrategy:         func(int) sched.Strategy { return arqFactory() },
 			Placement:           placement,
 			Parallel:            cfg.Parallel,
-			SharedSolves:        solves,
 			DedupIdenticalNodes: true,
 			NodeCache:           nodeCache,
 			StrategyDigest:      "arq:default",

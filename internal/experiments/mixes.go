@@ -77,7 +77,7 @@ func horizons(cfg RunConfig) (float64, float64) {
 // runMix builds an engine for the spec and applications and drives it under
 // the factory's strategy.
 func runMix(cfg RunConfig, spec machine.Spec, apps []sim.AppConfig, f StrategyFactory, opts core.Options) (*core.Result, error) {
-	engine, err := sim.New(sim.Config{Spec: spec, Seed: cfg.Seed, Apps: apps, SharedSolves: cfg.Solves})
+	engine, err := sim.New(sim.Config{Spec: spec, Seed: cfg.Seed, Apps: apps})
 	if err != nil {
 		return nil, err
 	}

@@ -12,25 +12,19 @@ import (
 // run (sim.Engine is "not safe for concurrent use" per engine, but separate
 // engines share nothing mutable). The bounded worker pool itself lives in
 // internal/pool — the cluster fleet engine shards over the same
-// implementation — while this file binds it to the harness: sizing from
-// RunConfig, plus the invocation-scoped solve cache.
+// implementation — while this file binds it to the harness.
 
 // pool bounds how many simulation jobs run simultaneously for one runner
-// invocation. It also owns the invocation's shared contention-solve cache:
-// rows of one sweep differ in load level or strategy, not in the solve
-// inputs, so engines running side by side (or sequentially) reuse each
-// other's solves. Sharing is bit-exact (sim.SolveCache keys cover every
-// resolver input), so results remain byte-identical at every parallelism
-// level, with or without the cache.
+// invocation. Results are read back in declaration order, so output is
+// byte-identical at every parallelism level.
 type pool struct {
-	ex     *workpool.Pool
-	solves *sim.SolveCache
+	ex *workpool.Pool
 }
 
 // newPool sizes the executor from the run configuration: Parallel workers,
 // or runtime.NumCPU() when Parallel <= 0 (1 disables concurrency).
 func newPool(cfg RunConfig) *pool {
-	return &pool{ex: workpool.New(cfg.Parallel), solves: sim.NewSolveCache()}
+	return &pool{ex: workpool.New(cfg.Parallel)}
 }
 
 // future is the pending result of a submitted job, read back with wait in
@@ -50,10 +44,8 @@ func (f *future[T]) wait() (T, error) {
 	return f.f.Wait()
 }
 
-// runMixAsync submits one runMix invocation to the pool, wiring the pool's
-// shared solve cache into the run.
+// runMixAsync submits one runMix invocation to the pool.
 func runMixAsync(p *pool, cfg RunConfig, spec machine.Spec, apps []sim.AppConfig, f StrategyFactory, opts core.Options) *future[*core.Result] {
-	cfg.Solves = p.solves
 	return submit(p, func() (*core.Result, error) {
 		return runMix(cfg, spec, apps, f, opts)
 	})

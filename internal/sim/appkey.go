@@ -1,19 +1,31 @@
 package sim
 
 import (
+	"math"
 	"strconv"
 
 	"ahq/internal/trace"
 )
 
-// Canonical cache-key serialisation of engine inputs, exported next to the
-// SolveCache serialiser (solvecache.go) for callers that key work on whole
-// node configurations rather than single solves — most importantly the
-// fleet engine's node-outcome cache (internal/cluster), whose key must
-// cover every input a node simulation reads. The encoding rules are the
-// SolveCache's: floats by their IEEE-754 bit patterns (two configurations
-// key equal exactly when a simulation would compute on identical values),
-// strings length-prefixed so adjacent fields cannot alias.
+// Canonical cache-key serialisation of engine inputs, for callers that key
+// work on whole node configurations — most importantly the fleet engine's
+// node-outcome cache (internal/cluster), whose key must cover every input
+// a node simulation reads. Floats are encoded by their IEEE-754 bit
+// patterns (two configurations key equal exactly when a simulation would
+// compute on identical values), strings length-prefixed so adjacent fields
+// cannot alias.
+
+// appendBits serialises a float by its IEEE-754 bit pattern.
+func appendBits(b []byte, v float64) []byte {
+	b = strconv.AppendUint(b, math.Float64bits(v), 16)
+	return append(b, ',')
+}
+
+// appendInt serialises an integer in decimal.
+func appendInt(b []byte, v int) []byte {
+	b = strconv.AppendInt(b, int64(v), 10)
+	return append(b, ',')
+}
 
 // AppendKeyFloat appends one float's bit-pattern encoding to b.
 func AppendKeyFloat(b []byte, v float64) []byte { return appendBits(b, v) }
@@ -36,8 +48,7 @@ func AppendKeyString(b []byte, s string) []byte {
 }
 
 // AppendTunablesKey appends the canonical encoding of every contention
-// tunable to b — the same fields, in the same order, that staticSolveKey
-// feeds the cross-engine solve cache.
+// tunable to b.
 func AppendTunablesKey(b []byte, t Tunables) []byte {
 	for _, v := range [...]float64{
 		t.SwitchOverhead, t.PollutionOverhead, t.WarmupMs, t.WarmupMissBoost,

@@ -30,11 +30,6 @@ type Config struct {
 	// an exact fast-forward, so results are identical either way; the
 	// differential tests pin that by running both forms side by side.
 	DisableFastForward bool
-	// SharedSolves optionally connects the engine to an experiment-scoped
-	// cross-engine contention solve cache (solvecache.go). Sharing is
-	// bit-exact — the cache key covers every resolver input — so a run
-	// with the cache is identical to one without; nil disables sharing.
-	SharedSolves *SolveCache
 }
 
 // wayChangeEpsilon is the smallest change in an application's static way
@@ -99,15 +94,6 @@ type Engine struct {
 	everyTickArrivals bool
 	// noFastForward mirrors Config.DisableFastForward.
 	noFastForward bool
-
-	// shared is the optional cross-engine solve cache (solvecache.go).
-	// solveStatic/solvePrefix/solveKey are its key-building buffers: the
-	// engine-static part, the part including the compiled topology, and
-	// the per-tick scratch for the complete key.
-	shared      *SolveCache
-	solveStatic []byte
-	solvePrefix []byte
-	solveKey    []byte
 }
 
 // New validates the configuration and builds an engine. The engine starts
@@ -165,7 +151,6 @@ func New(cfg Config) (*Engine, error) {
 		e.apps = append(e.apps, as)
 	}
 	e.noFastForward = cfg.DisableFastForward
-	e.shared = cfg.SharedSolves
 	if err := e.SetAllocation(machine.AllShared(cfg.Spec, machine.FairShare, e.AppNames())); err != nil {
 		return nil, err
 	}
@@ -209,7 +194,6 @@ func (e *Engine) SetAllocation(a machine.Allocation) error {
 	e.alloc = clone
 	e.topo = topo
 	e.memo.invalidate()
-	e.refreshSolvePrefix()
 	// Trigger warm-up where the way entitlement changed. Entitlement here
 	// is the static upper bound (isolated + full shared), which changes
 	// exactly when the partitioning moved ways around this application.

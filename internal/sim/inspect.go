@@ -32,14 +32,11 @@ type AppContention struct {
 	QueueLen int
 }
 
-// SolveStats reports the contention-solve cache counters: per-engine memo
-// hits, full fixed-point solves, and solves adopted from the cross-engine
-// shared cache. The counters are instrumentation — when a shared cache is
-// attached, the hit/adopt split depends on which engine got to a vector
-// first, i.e. on worker scheduling — so they must never feed deterministic
-// output; the solved values themselves are bit-identical either way.
-func (e *Engine) SolveStats() (hits, solves, sharedHits uint64) {
-	return e.memo.hits, e.memo.misses, e.memo.sharedHits
+// SolveStats reports the contention-solve memo counters: per-engine memo
+// hits and full fixed-point solves. The counters are instrumentation for
+// tests and benchmarks, never deterministic output.
+func (e *Engine) SolveStats() (hits, solves uint64) {
+	return e.memo.hits, e.memo.misses
 }
 
 // Contention returns the per-application contention snapshot from the most

@@ -70,9 +70,8 @@ type resolveMemo struct {
 	// elide resolves entirely (engine.go: nextEventTick).
 	lastVec []uint16
 	lastOK  bool
-	// hits and misses instrument the cache for tests and benchmarks;
-	// sharedHits counts solves adopted from the cross-engine cache.
-	hits, misses, sharedHits uint64
+	// hits and misses instrument the cache for tests and benchmarks.
+	hits, misses uint64
 	// disabled forces every tick through the fresh solve; the differential
 	// tests use it to compare memoized and unmemoized engines.
 	disabled bool
@@ -217,19 +216,6 @@ func (e *Engine) resolveContention() {
 				return
 			}
 		}
-		// Local miss: another engine of the experiment may already have
-		// this exact solve (same resolver inputs, bit for bit).
-		if e.shared != nil {
-			if st, ok := e.shared.lookup(e.sharedSolveKey()); ok {
-				e.memo.sharedHits++
-				for i, a := range e.apps {
-					a.restore(&st[i])
-				}
-				e.adoptSolve(small, key64, st)
-				e.memo.noteVector(e.apps)
-				return
-			}
-		}
 	}
 	e.resolveCores()
 	e.resolveCache()
@@ -244,10 +230,6 @@ func (e *Engine) resolveContention() {
 	st := e.memo.grab(len(e.apps))
 	for i, a := range e.apps {
 		st[i] = a.capture()
-	}
-	if e.shared != nil {
-		// sharedSolveKey was built by the lookup above on this same path.
-		e.shared.store(e.solveKey, st)
 	}
 	stored := false
 	if small {
@@ -271,29 +253,4 @@ func (e *Engine) resolveContention() {
 		e.memo.free = append(e.memo.free, st) //ahqlint:allow hotpath miss-path-only: freelist push when a full table rejects a capture
 	}
 	e.memo.noteVector(e.apps)
-}
-
-// adoptSolve copies a shared-cache hit into the per-engine table so
-// subsequent ticks on this vector stay lock-free.
-func (e *Engine) adoptSolve(small bool, key64 uint64, st []appResolve) {
-	cp := e.memo.grab(len(st))
-	copy(cp, st)
-	if small {
-		if e.memo.entries64 == nil {
-			e.memo.entries64 = make(map[uint64][]appResolve) //ahqlint:allow hotpath miss-path-only: lazily builds the table once per run
-		}
-		if len(e.memo.entries64) < memoMaxEntries {
-			e.memo.entries64[key64] = cp
-			return
-		}
-	} else {
-		if e.memo.entries == nil {
-			e.memo.entries = make(map[string][]appResolve) //ahqlint:allow hotpath miss-path-only: lazily builds the table once per run
-		}
-		if len(e.memo.entries) < memoMaxEntries {
-			e.memo.entries[string(e.memo.key)] = cp
-			return
-		}
-	}
-	e.memo.free = append(e.memo.free, cp) //ahqlint:allow hotpath miss-path-only: freelist push when a full table rejects a capture
 }
