@@ -103,16 +103,15 @@ func fleetBenchPlacement(b *testing.B, nodes int) [][]sim.AppConfig {
 	return placement
 }
 
-// benchFleet drives the 500-node screening fleet at the quick horizon
-// under a common-random-numbers seed policy (every node template runs the
-// same seed, the standard variance-reduction setup for comparing
-// placements). fleetEngine=true is the sharded production path: node
-// classes dedup to one simulation each and shards fan out over the worker
-// pool. fleetEngine=false is the sequential baseline — every node
-// simulated in full, one at a time. Both paths produce bit-identical
-// Results (pinned by TestDedupMatchesFullSimulation); only the wall time
-// differs.
-func benchFleet(b *testing.B, fleetEngine bool) {
+// benchFleet drives the 500-node screening fleet at the quick horizon.
+// sequential=false is the production path: the default common-random-
+// numbers seed policy (each node seeded from its contents, the standard
+// variance-reduction setup for comparing placements) makes equal node
+// templates equal simulations, which Run groups to one simulation each
+// before its shards fan out over the worker pool. sequential=true is the
+// baseline: SeedPerNode gives every node its own seed, so every node is
+// simulated in full, one at a time.
+func benchFleet(b *testing.B, sequential bool) {
 	const nodes = 500
 	placement := fleetBenchPlacement(b, nodes)
 	opts := core.Options{EpochMs: 500, WarmupMs: 500, DurationMs: 1_500}
@@ -125,12 +124,10 @@ func benchFleet(b *testing.B, fleetEngine bool) {
 			Seed:        int64(n + 1),
 			NewStrategy: func(int) sched.Strategy { return arq.Default() },
 			Placement:   placement,
-			NodeSeed:    func(int) int64 { return int64(n + 1) },
 		}
-		if fleetEngine {
-			cfg.DedupIdenticalNodes = true
-		} else {
+		if sequential {
 			cfg.Parallel = 1
+			cfg.SeedPerNode = true
 		}
 		res, err := cluster.Run(cfg, opts)
 		if err != nil {
@@ -141,13 +138,13 @@ func benchFleet(b *testing.B, fleetEngine bool) {
 	b.ReportMetric(float64(stats.NodesSimulated), "nodesims/op")
 }
 
-// BenchmarkFleet is the sharded fleet engine with node-class dedup — the
+// BenchmarkFleet is the sharded fleet engine with unit grouping — the
 // fleet screening production path.
-func BenchmarkFleet(b *testing.B) { benchFleet(b, true) }
+func BenchmarkFleet(b *testing.B) { benchFleet(b, false) }
 
 // BenchmarkFleetSequential is the baseline: the same 500 nodes simulated
 // one by one, as the pre-sharding cluster.Run ran them.
-func BenchmarkFleetSequential(b *testing.B) { benchFleet(b, false) }
+func BenchmarkFleetSequential(b *testing.B) { benchFleet(b, true) }
 
 // fleetSweepCandidates builds the candidate-evaluation workload for the
 // sweep benchmarks: an incumbent placement (interference-unaware Pack over
@@ -156,7 +153,7 @@ func BenchmarkFleetSequential(b *testing.B) { benchFleet(b, false) }
 // node pairs — the shape an online placement optimiser scores (Mage-style
 // candidate evaluation). Neighbours share the overwhelming majority of
 // their node contents with the incumbent, which is precisely the recurrence
-// the sweep-scoped NodeCache collapses and within-Run dedup cannot see.
+// the sweep-scoped NodeCache collapses and within-Run grouping cannot see.
 func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.AppConfig {
 	b.Helper()
 	rng := rand.New(rand.NewSource(9))
@@ -199,8 +196,8 @@ func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.
 
 // benchFleetSweep scores 5 candidate placements of one 100-node population
 // per iteration, exactly as a sweep does: common-random-numbers node seeds
-// (cluster.TemplateSeed), canonical intra-node order and within-Run dedup
-// in BOTH variants — the only difference is whether a
+// (the default seed policy), canonical intra-node order and within-Run
+// grouping in BOTH variants — the only difference is whether a
 // sweep-scoped cluster.NodeCache carries completed node simulations across
 // the candidate Runs. Both variants produce bit-identical tables (pinned by
 // TestNodeCacheHitIsBitIdentical and the CI ext-fleet smoke); the benchmark
@@ -229,19 +226,13 @@ func benchFleetSweep(b *testing.B, cached bool) {
 		}
 		sims, hits = 0, 0
 		for _, placement := range placements {
-			seeds := make([]int64, len(placement))
-			for i := range placement {
-				seeds[i] = cluster.TemplateSeed(1, placement[i])
-			}
 			res, err := cluster.Run(cluster.Config{
-				Spec:                machine.DefaultSpec(),
-				Seed:                1,
-				NewStrategy:         func(int) sched.Strategy { return arq.Default() },
-				Placement:           placement,
-				NodeSeed:            func(i int) int64 { return seeds[i] },
-				DedupIdenticalNodes: true,
-				NodeCache:           nodeCache,
-				StrategyDigest:      "arq:default",
+				Spec:           machine.DefaultSpec(),
+				Seed:           1,
+				NewStrategy:    func(int) sched.Strategy { return arq.Default() },
+				Placement:      placement,
+				NodeCache:      nodeCache,
+				StrategyDigest: "arq:default",
 			}, opts)
 			if err != nil {
 				b.Fatal(err)

@@ -47,6 +47,7 @@ func main() {
 			Seed:        21,
 			NewStrategy: func(int) sched.Strategy { return ahq.NewARQ() },
 			Placement:   placements[name],
+			SeedPerNode: true,
 		}, ahq.RunOptions{WarmupMs: 4_000, DurationMs: 12_000})
 		if err != nil {
 			log.Fatal(err)

@@ -1,30 +1,34 @@
 package cluster
 
-// The chaos engine is the fleet run under a faults.FleetPlan: node
-// crashes, capacity degradations and telemetry blackouts at fleet scope,
-// with optional failure-aware re-placement. It simulates the fleet as a
-// sequence of *phases* — maximal epoch ranges over which the fleet's
-// configuration is constant (supervisor.go cuts one at every crash,
-// restart, degrade flip and re-placement) — and each (phase, node) becomes
-// one independent simulation unit: the node's applications at that time,
-// its (possibly degraded) capacity, and its blackout coverage lowered to a
-// node-local telemetry-drop plan. A phase overlapping the warm-up window
-// carries the overlap as its own warm-up; later phases run unwarmed.
+// The phased engine runs every fleet. It simulates the fleet as a sequence
+// of *phases* — maximal epoch ranges over which the fleet's configuration
+// is constant (supervisor.go cuts one at every crash, restart, degrade
+// flip and re-placement a faults.FleetPlan causes; a run without a plan is
+// a single phase) — and each (phase, node) slot becomes one independent
+// simulation unit: the node's applications at that time, its (possibly
+// degraded) capacity, and its blackout coverage lowered to a node-local
+// telemetry-drop plan. A phase spanning the whole horizon runs the
+// caller's controller options verbatim; otherwise a phase overlapping the
+// warm-up window carries the overlap as its own warm-up, and later phases
+// run unwarmed.
 //
 // The phased model deliberately drops cross-phase node state (queue
 // backlogs, strategy learning do not survive a boundary): a phase is a
 // fresh steady-state estimate of the configuration it covers, which is
 // exactly the quantity fleet-level E_S aggregation needs, and what keeps
-// every unit a pure function of its content — so units dedup across
-// phases, nodes, and whole sweeps through the same classing and NodeCache
-// machinery as the legacy path, and output is byte-identical at every
-// -parallel level.
+// every unit a pure function of its content. Units with equal content keys
+// are therefore grouped before sharding — each distinct unit simulates
+// once per Run — and the NodeCache replays them across Runs.
 //
-// Aggregation pools run-level samples over every unit, weighted by the
-// unit's measured epochs (entropy.WeightedSystem), and accounts dead
-// windows explicitly: an application on a crashed node (no-replace), or
-// evicted and not yet — or never — re-placed, contributes a saturated
-// sample weighted by the phase's measured epochs, and each such LC
+// Aggregation pools run-level samples over every slot in (phase, node)
+// order, whatever the grouping, so grouping and caching never move a bit
+// and output is byte-identical at every -parallel level. Samples are
+// weighted by their phase's measured epochs (entropy.WeightedSystem),
+// except in a one-phase schedule, where every weight is 1 and the weighted
+// means reduce exactly to entropy.System and entropy.Yield. Dead windows
+// are accounted explicitly: an application on a crashed node
+// (no-replace), or evicted and not yet — or never — re-placed, contributes
+// a saturated sample weighted like the phase's units, and each such LC
 // app-epoch counts as a violation. The sample set never silently shrinks
 // because a node died.
 
@@ -39,29 +43,57 @@ import (
 	"ahq/internal/sim"
 )
 
-// chaosClass is one unit equivalence class of a chaos run: the unit, its
-// NodeCache key (empty = never cached), the (phase, node) pairs it covers,
-// and the phase's measured epochs (equal across members — the key includes
-// the options, which pin the phase shape).
-type chaosClass struct {
-	key      cacheKey
-	unit     simUnit
-	members  []unitRef
-	measured int
-}
-
 // unitRef addresses one (phase, node) slot of the schedule.
 type unitRef struct {
 	phase, node int
 }
 
-// runChaos drives the fleet under the configured FleetPlan. cfg has been
-// validated by Run (placement non-empty, strategy present, no NodeSeed, no
-// KeepResults, NodeCache implies StrategyDigest).
-func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
-	o := opts.WithDefaults()
-	totalEpochs := int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
-	warmEpochs := int(math.Ceil(o.WarmupMs / o.EpochMs))
+// unitSlot is one (phase, node) slot in merge order: its node, the index
+// of the unit that simulates it, and the phase's measured epochs.
+type unitSlot struct {
+	node, unit, measured int
+}
+
+// groupUnits enumerates the schedule's slots and groups their units by
+// content key: slots with equal keys share one unit, simulated once, and
+// the key addresses the NodeCache. Units are numbered by first appearance,
+// so the grouping is a deterministic function of the configuration.
+func groupUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64) ([]shardUnit, []unitSlot) {
+	var units []shardUnit
+	var slots []unitSlot
+	index := make(map[string]int)
+	phaseUnits(cfg, plan, sched, opts, ri, func(ref unitRef, u simUnit, key []byte, hash uint64, measured int) {
+		ui, dup := index[string(key)]
+		if !dup {
+			ui = len(units)
+			su := shardUnit{unit: u}
+			if key != nil {
+				ks := string(key)
+				index[ks] = ui
+				if cfg.NodeCache != nil {
+					su.key = cacheKey{s: ks, hash: hash}
+				}
+			}
+			units = append(units, su)
+		}
+		slots = append(slots, unitSlot{node: ref.node, unit: ui, measured: measured})
+	})
+	return units, slots
+}
+
+// horizonEpochs splits post-default options into the run's total epochs
+// (warm-up included) and its warm-up epochs.
+func horizonEpochs(o core.Options) (total, warm int) {
+	total = int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
+	warm = int(math.Ceil(o.WarmupMs / o.EpochMs))
+	return total, warm
+}
+
+// runPhases drives the fleet through its phase schedule. cfg has been
+// validated by Run (placement non-empty, strategy present, NodeCache
+// implies StrategyDigest).
+func runPhases(cfg Config, opts core.Options, ri float64) (*Result, error) {
+	totalEpochs, warmEpochs := horizonEpochs(opts.WithDefaults())
 	n := len(cfg.Placement)
 
 	// Resolve draws victims for unresolved events and validates resolved
@@ -72,38 +104,23 @@ func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 	}
 	sched := supervise(plan, cfg.Placement, cfg.Spec, cfg.ReplaceEvicted, totalEpochs)
 
-	// Group the unit list into classes: under DedupIdenticalNodes equal
-	// keys share one simulation, and the key addresses the NodeCache.
-	classes := make([]chaosClass, 0, n*len(sched.phases)) // one per unit at most
-	index := make(map[string]int)
-	keyed := cfg.DedupIdenticalNodes || cfg.NodeCache != nil
-	chaosUnits(&cfg, plan, sched, o, ri, keyed, func(ref unitRef, u simUnit, key cacheKey, measured int) {
-		if key.s != "" && cfg.DedupIdenticalNodes {
-			if ci, dup := index[key.s]; dup {
-				classes[ci].members = append(classes[ci].members, ref)
-				return
-			}
-			index[key.s] = len(classes)
-		}
-		if cfg.NodeCache == nil {
-			key = cacheKey{}
-		}
-		classes = append(classes, chaosClass{
-			key: key, unit: u, members: []unitRef{ref}, measured: measured,
-		})
-	})
-
-	units := make([]shardUnit, len(classes))
-	for ci := range classes {
-		units[ci] = shardUnit{key: classes[ci].key, unit: classes[ci].unit}
-	}
+	units, slots := groupUnits(&cfg, plan, sched, opts, ri)
 	outs, stats, err := runUnits(&cfg, units)
 	if err != nil {
 		return nil, err
 	}
+	// A sample weighs its phase's measured epochs. In a one-phase schedule
+	// the weights are all equal, and weight 1 keeps the weighted means
+	// exactly equal to entropy.System and entropy.Yield over the samples.
+	weight := func(measured int) float64 {
+		if len(sched.phases) == 1 {
+			return 1
+		}
+		return float64(measured)
+	}
 
-	// Merge in class order, expanding to members in member order — fixed
-	// before sharding, so identical at every parallelism level.
+	// Merge in slot order — fixed before sharding, so identical at every
+	// parallelism level and under any grouping.
 	res := &Result{Summaries: make([]NodeSummary, n)}
 	nodeLC := make([][]entropy.Weighted[entropy.LCSample], n)
 	nodeBE := make([][]entropy.Weighted[entropy.BESample], n)
@@ -123,43 +140,41 @@ func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 		s.DownEpochs = sched.downEpochsByNode[i]
 		s.Evictions = sched.evictionsByNode[i]
 	}
-	for ci := range classes {
-		cl := &classes[ci]
-		co := &outs[ci]
-		w := float64(cl.measured)
-		for _, m := range cl.members {
-			s := &res.Summaries[m.node]
-			s.Epochs += co.sum.Epochs
-			s.ViolationEpochs += co.sum.ViolationEpochs
-			s.Incidents += co.sum.Incidents
-			if co.sum.Failed {
-				s.Failed = true
-			}
-			res.MeasuredEpochs += co.sum.Epochs
-			res.TotalViolationEpochs += co.sum.ViolationEpochs
-			res.LCAppEpochs += co.sum.LCApps * co.sum.Epochs
-			for _, smp := range co.lc {
-				ws := entropy.Weighted[entropy.LCSample]{Sample: smp, Weight: w}
-				allLC = append(allLC, ws)
-				nodeLC[m.node] = append(nodeLC[m.node], ws)
-			}
-			for _, smp := range co.be {
-				ws := entropy.Weighted[entropy.BESample]{Sample: smp, Weight: w}
-				allBE = append(allBE, ws)
-				nodeBE[m.node] = append(nodeBE[m.node], ws)
-			}
+	for _, sl := range slots {
+		co := &outs[sl.unit]
+		s := &res.Summaries[sl.node]
+		s.Epochs += co.sum.Epochs
+		s.ViolationEpochs += co.sum.ViolationEpochs
+		s.Incidents += co.sum.Incidents
+		s.DownEpochs += co.sum.DownEpochs
+		if co.sum.Failed {
+			s.Failed = true
+		}
+		res.MeasuredEpochs += co.sum.Epochs
+		res.TotalViolationEpochs += co.sum.ViolationEpochs
+		res.LCAppEpochs += co.sum.LCApps * co.sum.Epochs
+		w := weight(sl.measured)
+		for _, smp := range co.lc {
+			ws := entropy.Weighted[entropy.LCSample]{Sample: smp, Weight: w}
+			allLC = append(allLC, ws)
+			nodeLC[sl.node] = append(nodeLC[sl.node], ws)
+		}
+		for _, smp := range co.be {
+			ws := entropy.Weighted[entropy.BESample]{Sample: smp, Weight: w}
+			allBE = append(allBE, ws)
+			nodeBE[sl.node] = append(nodeBE[sl.node], ws)
 		}
 	}
 	// Dead windows: applications running nowhere during a measured phase
-	// contribute saturated samples weighted by the phase's measured
-	// epochs, attributed to their (home) node; every dead LC app-epoch is
-	// a violation.
+	// contribute saturated samples weighted like the phase's units,
+	// attributed to their (home) node; every dead LC app-epoch is a
+	// violation.
 	for pi := range sched.phases {
 		_, measured := phaseWindow(&sched.phases[pi], warmEpochs)
 		if measured == 0 {
 			continue
 		}
-		w := float64(measured)
+		w := weight(measured)
 		for _, d := range sched.phases[pi].dead {
 			s := &res.Summaries[d.node]
 			switch {
@@ -178,11 +193,19 @@ func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 		}
 	}
 
-	// Per-node entropies and epoch-weighted yield over each node's own
-	// weighted samples (dead contributions included); a node with no
-	// samples at all (everything moved away, nothing placed) reports NaN.
+	// Per-node entropies and weighted yield over each node's own samples
+	// (dead contributions included); a node with no samples at all
+	// (everything moved away, nothing placed) reports NaN. The incident
+	// counters sum the finished summaries.
+	res.Stats = stats
+	res.Stats.NodesRun = n
 	for i := 0; i < n; i++ {
 		s := &res.Summaries[i]
+		if s.Failed {
+			res.Stats.FailedNodes++
+		}
+		res.Stats.DownEpochs += s.DownEpochs
+		res.Stats.Evictions += s.Evictions
 		elc, ebe, es, err := entropy.WeightedSystem{RI: ri}.Compute(nodeLC[i], nodeBE[i])
 		if err == nil {
 			s.ELC, s.EBE, s.ES = elc, ebe, es
@@ -199,6 +222,7 @@ func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 		return nil, fmt.Errorf("cluster: global entropy: %w", err)
 	}
 	res.GlobalELC, res.GlobalEBE, res.GlobalES = elc, ebe, es
+	// A fleet without LC samples has no yield: YieldDefined stays false.
 	if sat, tot := weightedSatisfied(allLC); tot > 0 {
 		res.GlobalYield, res.YieldDefined = sat/tot, true
 	}
@@ -209,9 +233,6 @@ func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 	if sched.replacements > 0 {
 		res.MeanRecoveryEpochs = float64(sched.recoverySum) / float64(sched.replacements)
 	}
-	res.Stats = stats
-	res.Stats.NodesRun = n
-	addIncidentCounters(res)
 	return res, nil
 }
 
@@ -235,47 +256,51 @@ func phaseWindow(ph *fleetPhase, warmEpochs int) (warmIn, measured int) {
 	return warmIn, length - warmIn
 }
 
-// chaosUnits enumerates the schedule's simulation units in (phase, node)
+// phaseUnits enumerates the schedule's simulation units in (phase, node)
 // order and hands each to emit with its (phase, node) address, its content
-// key and its phase's measured epochs. Down and empty nodes simulate
+// key with the key's shard hash, and its phase's measured epochs. The key
+// bytes are valid only during the call. Down and empty nodes simulate
 // nothing; phases entirely inside warm-up measure nothing and are skipped
-// whole. With keyed unset, or for a template that is not
-// key-serialisable, the key is empty: such units are never grouped or
-// cached.
+// whole. For a template that is not key-serialisable the key is nil: such
+// units are never grouped or cached.
 //
 // A unit key serialises every input the unit's simulation reads —
-// capacity, per-phase controller options (post-default), aggregation RI,
-// engine tunables, strategy digest, blackout plan, seed, and the canonical
-// application template. Everything up to the blackout is shared by the
-// phase's healthy (or degraded) nodes and is built once per phase; the
-// canonical order, template key and seed come from a per-node memo that
-// lives as long as the node's assignment slice (nodeTemplate).
-func chaosUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, o core.Options, ri float64, keyed bool, emit func(ref unitRef, u simUnit, key cacheKey, measured int)) {
-	warmEpochs := int(math.Ceil(o.WarmupMs / o.EpochMs))
+// capacity, controller options (post-default), aggregation RI, engine
+// tunables, strategy digest, blackout plan, seed, and the application
+// template in simulation order. Everything up to the blackout is shared by
+// the phase's healthy (or degraded) nodes and is built once per phase; the
+// applications, template key and seed come from a per-node memo that lives
+// as long as the node's assignment slice (nodeTemplate).
+func phaseUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64, emit func(ref unitRef, u simUnit, key []byte, hash uint64, measured int)) {
+	o := opts.WithDefaults()
+	totalEpochs, warmEpochs := horizonEpochs(o)
 	degSpec := faults.DegradedSpec(cfg.Spec)
 	memo := make([]nodeTemplate, len(cfg.Placement))
+	var buf []byte // key scratch, reused across units
 	for pi := range sched.phases {
 		ph := &sched.phases[pi]
 		warmIn, measured := phaseWindow(ph, warmEpochs)
 		if measured == 0 {
 			continue
 		}
-		phOpts := core.Options{
-			EpochMs:    o.EpochMs,
-			DurationMs: float64(measured) * o.EpochMs,
-			RI:         o.RI,
-		}
-		if warmIn > 0 {
-			phOpts.WarmupMs = float64(warmIn) * o.EpochMs
-		} else {
-			phOpts.WarmupMs = -1 // negative = no warm-up, 0 would mean the default
+		phOpts := opts // a whole-horizon phase runs the caller's options verbatim
+		if ph.start > 0 || ph.end < totalEpochs {
+			phOpts = core.Options{
+				EpochMs:    o.EpochMs,
+				DurationMs: float64(measured) * o.EpochMs,
+				RI:         o.RI,
+				WarmupMs:   -1, // negative = no warm-up, 0 would mean the default
+			}
+			if warmIn > 0 {
+				phOpts.WarmupMs = float64(warmIn) * o.EpochMs
+			}
 		}
 		var prefix [2][]byte // healthy, degraded; built on first use
 		for nd := range ph.assign {
 			if ph.down[nd] || len(ph.assign[nd]) == 0 {
 				continue
 			}
-			t := memo[nd].of(cfg.Seed, ph.assign[nd])
+			t := memo[nd].of(cfg, nd, ph.assign[nd])
 			spec, deg := cfg.Spec, 0
 			if ph.degraded[nd] {
 				spec, deg = degSpec, 1
@@ -284,26 +309,28 @@ func chaosUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, o cor
 				node: nd, apps: t.apps, spec: spec, seed: t.seed, opts: phOpts,
 				blackout: plan.BlackoutPlan(nd, ph.start, ph.end),
 			}
-			var key cacheKey
-			if keyed && t.key != nil {
+			var key []byte
+			if t.key != nil {
 				if prefix[deg] == nil {
-					prefix[deg] = chaosKeyPrefix(cfg, spec, phOpts, ri)
+					prefix[deg] = unitKeyPrefix(cfg, spec, phOpts, ri)
 				}
-				key = t.unitKey(prefix[deg], u.blackout)
+				buf = t.appendUnitKey(buf[:0], prefix[deg], u.blackout)
+				key = buf
 			}
-			emit(unitRef{pi, nd}, u, key, measured)
+			emit(unitRef{pi, nd}, u, key, keyHash(t.seed, t.hash), measured)
 		}
 	}
 }
 
-// nodeTemplate memoises what the chaos engine derives from one node's
-// assignment: the canonical application order, the canonical template key
-// (nil when not key-serialisable) with its shard hash, and TemplateSeed.
-// supervise shares a node's assignment slice across phases until the
-// node's contents change (copy-on-write), and every earlier phase keeps
-// its slice alive, so the slice identity — first element and length —
-// stands for the contents and each assignment is serialised once rather
-// than once per phase.
+// nodeTemplate memoises what the engine derives from one node's
+// assignment under the configured seed policy: the applications in
+// simulation order (canonical order by default, as given under
+// SeedPerNode), their template key (nil when not key-serialisable) with
+// its shard hash, and the seed. supervise shares a node's assignment slice
+// across phases until the node's contents change (copy-on-write), and
+// every earlier phase keeps its slice alive, so the slice identity — first
+// element and length — stands for the contents and each assignment is
+// serialised once rather than once per phase.
 type nodeTemplate struct {
 	first *sim.AppConfig
 	n     int
@@ -313,41 +340,43 @@ type nodeTemplate struct {
 	seed  int64
 }
 
-// of returns the memo for assign (non-empty), rebuilding it when the
+// of returns node's memo for assign (non-empty), rebuilding it when the
 // node's assignment slice changed since the last call.
-func (t *nodeTemplate) of(base int64, assign []sim.AppConfig) *nodeTemplate {
+func (t *nodeTemplate) of(cfg *Config, node int, assign []sim.AppConfig) *nodeTemplate {
 	if t.first == &assign[0] && t.n == len(assign) {
 		return t
 	}
-	apps := CanonicalOrder(assign)
-	k, ok := templateKey(apps)
-	*t = nodeTemplate{first: &assign[0], n: len(assign), apps: apps, seed: templateSeed(base, apps, k, ok)}
-	if ok {
-		t.key, t.hash = k, fnv1a(k)
+	apps, k := orderedTemplate(assign, !cfg.SeedPerNode)
+	seed := cfg.Seed + int64(node)
+	if !cfg.SeedPerNode {
+		seed = templateSeed(cfg.Seed, apps, k)
+	}
+	*t = nodeTemplate{first: &assign[0], n: len(assign), apps: apps, key: k, seed: seed}
+	if k != nil {
+		t.hash = fnv1a(k)
 	}
 	return t
 }
 
-// unitKey completes a unit's key: the phase prefix, the blackout plan, the
-// seed, and the template.
-func (t *nodeTemplate) unitKey(prefix []byte, blackout *faults.Plan) cacheKey {
-	bo := blackout.String()
-	b := make([]byte, 0, len(prefix)+len(bo)+32+len(t.key))
+// appendUnitKey appends a unit's key to b: the phase prefix, the blackout
+// plan, the seed, and the template.
+func (t *nodeTemplate) appendUnitKey(b, prefix []byte, blackout *faults.Plan) []byte {
 	b = append(b, prefix...)
-	b = sim.AppendKeyString(b, bo)
+	b = sim.AppendKeyString(b, blackout.String())
 	b = sim.AppendKeyInt64(b, t.seed)
 	b = append(b, '|')
-	b = append(b, t.key...)
-	return cacheKey{s: string(b), hash: keyHash(t.seed, t.hash)}
+	return append(b, t.key...)
 }
 
-// chaosKeyPrefix serialises the unit-key inputs one phase shares across
-// every node of one capacity. The "chaos|" namespace keeps chaos keys
-// disjoint from legacy node keys in a shared NodeCache.
-func chaosKeyPrefix(cfg *Config, spec machine.Spec, opts core.Options, ri float64) []byte {
+// unitKeyPrefix serialises the unit-key inputs one phase shares across
+// every node of one capacity: the capacity, the controller options
+// (post-default, so spelling a default explicitly cannot split the key),
+// the aggregation RI, the engine tunables the fleet engine runs
+// (DefaultTunables — units construct their engines without overrides, and
+// the serialisation pins that assumption), and the strategy digest.
+func unitKeyPrefix(cfg *Config, spec machine.Spec, opts core.Options, ri float64) []byte {
 	o := opts.WithDefaults()
 	b := make([]byte, 0, 256)
-	b = append(b, "chaos|"...)
 	b = sim.AppendKeyInt(b, spec.Cores)
 	b = sim.AppendKeyInt(b, spec.LLCWays)
 	b = sim.AppendKeyInt(b, spec.MemBWUnits)
@@ -356,6 +385,9 @@ func chaosKeyPrefix(cfg *Config, spec machine.Spec, opts core.Options, ri float6
 	b = sim.AppendKeyFloat(b, o.WarmupMs)
 	b = sim.AppendKeyFloat(b, o.DurationMs)
 	b = sim.AppendKeyFloat(b, o.RI)
+	if o.RecordTimeline {
+		b = append(b, 'T')
+	}
 	b = sim.AppendKeyFloat(b, ri)
 	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
 	return sim.AppendKeyString(b, cfg.StrategyDigest)

@@ -10,13 +10,18 @@ package cluster
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ahq/internal/core"
 	"ahq/internal/faults"
+	"ahq/internal/machine"
+	"ahq/internal/sched"
+	"ahq/internal/sched/arq"
 	"ahq/internal/sim"
 )
 
@@ -31,19 +36,6 @@ func chaosConfig(parallel int, plan string, replace bool) Config {
 	return cfg
 }
 
-func TestChaosRejectsIncompatibleConfig(t *testing.T) {
-	cfg := chaosConfig(1, "crash@6x3/nodes=2", true)
-	cfg.NodeSeed = func(int) int64 { return 1 }
-	if _, err := Run(cfg, quickOpts()); err == nil {
-		t.Error("FleetPlan with NodeSeed accepted, want error")
-	}
-	cfg = chaosConfig(1, "crash@6x3/nodes=2", true)
-	cfg.KeepResults = true
-	if _, err := Run(cfg, quickOpts()); err == nil {
-		t.Error("FleetPlan with KeepResults accepted, want error")
-	}
-}
-
 // TestChaosDeterministicAcrossParallelism is the chaos analogue of the
 // fleet determinism contract, with all three fault kinds and re-placement
 // active: everything printable — samples, incident counters, supervisor
@@ -52,9 +44,7 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 	const plan = "crash@6x3/nodes=2,degrade@5+/nodes=1,blackout@7x2/nodes=2"
 	var views []Result
 	for _, parallel := range []int{1, 0, 7} {
-		cfg := chaosConfig(parallel, plan, true)
-		cfg.DedupIdenticalNodes = true
-		res, err := Run(cfg, quickOpts())
+		res, err := Run(chaosConfig(parallel, plan, true), quickOpts())
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}
@@ -84,7 +74,6 @@ func TestChaosDeterministicWithNodeCache(t *testing.T) {
 	cache := NewNodeCache()
 	run := func() *Result {
 		cfg := chaosConfig(3, "crash@6x3/nodes=2,blackout@7x2/nodes=2", true)
-		cfg.DedupIdenticalNodes = true
 		cfg.NodeCache = cache
 		cfg.StrategyDigest = "arq:default"
 		res, err := Run(cfg, quickOpts())
@@ -102,18 +91,18 @@ func TestChaosDeterministicWithNodeCache(t *testing.T) {
 	}
 }
 
-// chaosUnitKey is the from-scratch reference serialisation of a chaos
-// unit's content key: capacity, per-phase controller options
-// (post-default), aggregation RI, engine tunables, strategy digest,
-// blackout plan, seed and canonical template, in one pass. Returns "" when
-// the template is not key-serialisable.
+// chaosUnitKey is the from-scratch reference serialisation of a unit's
+// content key: capacity, per-phase controller options (post-default),
+// aggregation RI, engine tunables, strategy digest, blackout plan, seed
+// and canonical template, in one pass. Returns "" when the template is not
+// key-serialisable.
 func chaosUnitKey(cfg *Config, u simUnit, ri float64) string {
-	tk, ok := templateKey(u.apps)
-	if !ok {
+	_, tk := orderedTemplate(u.apps, false)
+	if tk == nil {
 		return ""
 	}
 	o := u.opts.WithDefaults()
-	b := []byte("chaos|")
+	var b []byte
 	b = sim.AppendKeyInt(b, u.spec.Cores)
 	b = sim.AppendKeyInt(b, u.spec.LLCWays)
 	b = sim.AppendKeyInt(b, u.spec.MemBWUnits)
@@ -122,6 +111,9 @@ func chaosUnitKey(cfg *Config, u simUnit, ri float64) string {
 	b = sim.AppendKeyFloat(b, o.WarmupMs)
 	b = sim.AppendKeyFloat(b, o.DurationMs)
 	b = sim.AppendKeyFloat(b, o.RI)
+	if o.RecordTimeline {
+		b = append(b, 'T')
+	}
 	b = sim.AppendKeyFloat(b, ri)
 	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
 	b = sim.AppendKeyString(b, cfg.StrategyDigest)
@@ -159,7 +151,7 @@ func TestChaosUnitKeysMatchFromScratch(t *testing.T) {
 		}
 		prev := make(map[int]seen)
 		var units, degraded, blackedOut, refreshed int
-		chaosUnits(&cfg, resolved, sched, o, ri, true, func(ref unitRef, u simUnit, key cacheKey, measured int) {
+		phaseUnits(&cfg, resolved, sched, quickOpts(), ri, func(ref unitRef, u simUnit, key []byte, hash uint64, measured int) {
 			units++
 			ph := &sched.phases[ref.phase]
 			apps := CanonicalOrder(ph.assign[ref.node])
@@ -174,7 +166,7 @@ func TestChaosUnitKeysMatchFromScratch(t *testing.T) {
 			}
 			want := simUnit{
 				node: ref.node, apps: apps, spec: spec,
-				seed: TemplateSeed(cfg.Seed, apps), opts: u.opts, blackout: blackout,
+				seed: seedOf(cfg.Seed, apps), opts: u.opts, blackout: blackout,
 			}
 			if !reflect.DeepEqual(u, want) {
 				t.Errorf("replace=%v phase %d node %d: unit %+v, from scratch %+v", replace, ref.phase, ref.node, u, want)
@@ -182,18 +174,18 @@ func TestChaosUnitKeysMatchFromScratch(t *testing.T) {
 			if got := u.opts.DurationMs; got != float64(measured)*o.EpochMs {
 				t.Errorf("replace=%v phase %d: DurationMs %v for %d measured epochs", replace, ref.phase, got, measured)
 			}
-			if wantKey := chaosUnitKey(&cfg, want, ri); key.s != wantKey {
+			if wantKey := chaosUnitKey(&cfg, want, ri); string(key) != wantKey {
 				t.Errorf("replace=%v phase %d node %d: memoised key differs from scratch\n got %q\nwant %q",
-					replace, ref.phase, ref.node, key.s, wantKey)
+					replace, ref.phase, ref.node, key, wantKey)
 			}
-			tk, _ := templateKey(apps)
-			if h := keyHash(want.seed, fnv1a(tk)); key.hash != h {
-				t.Errorf("replace=%v phase %d node %d: shard hash %x, from scratch %x", replace, ref.phase, ref.node, key.hash, h)
+			_, tk := orderedTemplate(apps, false)
+			if h := keyHash(want.seed, fnv1a(tk)); hash != h {
+				t.Errorf("replace=%v phase %d node %d: shard hash %x, from scratch %x", replace, ref.phase, ref.node, hash, h)
 			}
 			if p, ok := prev[ref.node]; ok && len(p.apps) != len(apps) {
 				// The node's contents changed: a re-placement landed here.
 				refreshed++
-				if u.seed == p.seed || !strings.HasSuffix(key.s, "|"+string(tk)) {
+				if u.seed == p.seed || !strings.HasSuffix(string(key), "|"+string(tk)) {
 					t.Errorf("replace=%v phase %d node %d: key not refreshed after the assignment changed", replace, ref.phase, ref.node)
 				}
 			}
@@ -338,26 +330,34 @@ func TestChaosDegradeRuns(t *testing.T) {
 // node's simulation error no longer aborts cluster.Run: the broken node
 // becomes a failed summary with dead-window accounting and the healthy
 // rest of the fleet aggregates normally.
+// Under a FleetPlan the broken node's units fail phase by phase, and the
+// merge must carry each unit's DownEpochs into the node's summary.
 func TestRunAbsorbsNodeError(t *testing.T) {
-	cfg := fleetConfig(2)
-	// An AppConfig with neither LC nor BE fails sim.New validation.
-	cfg.Placement[3] = []sim.AppConfig{{}}
-	res, err := Run(cfg, quickOpts())
-	if err != nil {
-		t.Fatalf("fleet run aborted on a single broken node: %v", err)
-	}
-	s := res.Summaries[3]
-	if !s.Failed {
-		t.Fatal("broken node not marked Failed")
-	}
-	if s.DownEpochs != 14 || s.Epochs != 10 {
-		t.Errorf("broken node DownEpochs=%d Epochs=%d, want 14/10", s.DownEpochs, s.Epochs)
-	}
-	if res.Stats.FailedNodes != 1 {
-		t.Errorf("FailedNodes = %d, want 1", res.Stats.FailedNodes)
-	}
-	if math.IsNaN(res.GlobalES) {
-		t.Error("global E_S is NaN with one absorbed failure")
+	for _, plan := range []string{"", "crash@6x3/node=0"} {
+		cfg := chaosConfig(2, plan, false)
+		// An AppConfig with neither LC nor BE fails sim.New validation.
+		cfg.Placement[3] = []sim.AppConfig{{}}
+		res, err := Run(cfg, quickOpts())
+		if err != nil {
+			t.Fatalf("plan %q: fleet run aborted on a single broken node: %v", plan, err)
+		}
+		s := res.Summaries[3]
+		if !s.Failed {
+			t.Fatalf("plan %q: broken node not marked Failed", plan)
+		}
+		if s.DownEpochs != 14 || s.Epochs != 10 {
+			t.Errorf("plan %q: broken node DownEpochs=%d Epochs=%d, want 14/10", plan, s.DownEpochs, s.Epochs)
+		}
+		wantFailed := 1
+		if plan != "" {
+			wantFailed = 2 // node 0 crashes as well
+		}
+		if res.Stats.FailedNodes != wantFailed {
+			t.Errorf("plan %q: FailedNodes = %d, want %d", plan, res.Stats.FailedNodes, wantFailed)
+		}
+		if math.IsNaN(res.GlobalES) {
+			t.Errorf("plan %q: global E_S is NaN with one absorbed failure", plan)
+		}
 	}
 }
 
@@ -375,10 +375,11 @@ func TestRunDrainsFuturesOnError(t *testing.T) {
 	}
 	defer func() { shardFailHook = nil }()
 	cfg := fleetConfig(4)
+	cfg.SeedPerNode = true // no two nodes group
 	if _, err := Run(cfg, quickOpts()); err == nil {
 		t.Fatal("injected shard failure did not surface")
 	}
-	// 8 single-node classes over 4 workers.
+	// 8 single-node units over 4 workers.
 	want := int32(shardsFor(8, 4))
 	if got := calls.Load(); got != want {
 		t.Errorf("Run returned after %d of %d shards completed; futures not drained", got, want)
@@ -424,4 +425,63 @@ func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	if err != nil || co.sum.Epochs != 7 {
 		t.Errorf("replayed entry = %+v, %v; want Epochs 7, nil", co.sum, err)
 	}
+}
+
+// scoredChaosConfig is a 1000-node Scored fleet under a 1% persistent
+// crash wave with a NodeCache: a fleet whose recurrent node contents group
+// heavily, with ~2.5 applications per node (70% LC at quantised loads)
+// drawn from seed 3.
+func scoredChaosConfig(t *testing.T) Config {
+	t.Helper()
+	const nodes = 1000
+	rng := rand.New(rand.NewSource(3))
+	lcNames := []string{"xapian", "moses", "img-dnn", "silo", "masstree", "sphinx"}
+	beNames := []string{"stream", "fluidanimate", "streamcluster"}
+	loads := []float64{0.2, 0.35, 0.5, 0.7}
+	apps := make([]sim.AppConfig, 0, nodes*5/2)
+	for i := 0; i < nodes*5/2; i++ {
+		if rng.Float64() < 0.7 {
+			apps = append(apps, lcAt(lcNames[rng.Intn(len(lcNames))], loads[rng.Intn(len(loads))]))
+		} else {
+			apps = append(apps, beApp(beNames[rng.Intn(len(beNames))]))
+		}
+	}
+	spec := machine.DefaultSpec()
+	placement, err := Scored(apps, nodes, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.ParseFleet("crash@4+/nodes=1%")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Spec:           spec,
+		Seed:           3,
+		NewStrategy:    func(int) sched.Strategy { return arq.Default() },
+		Placement:      CanonicalizePlacement(placement),
+		NodeCache:      NewNodeCache(),
+		StrategyDigest: "arq:default",
+		FleetPlan:      plan,
+	}
+}
+
+// TestGroupedChaosMatchesSlotOrder pins that grouping never moves a bit:
+// a grouped, cached chaos run over a fleet where most units recur must
+// equal the reference that simulates every (phase, node) slot on its own
+// and pools in slot order. A merge that pools class by class instead
+// reorders the floating-point sums and fails here.
+func TestGroupedChaosMatchesSlotOrder(t *testing.T) {
+	cfg := scoredChaosConfig(t)
+	// Five epochs: the crash at epoch 4 cuts a second phase.
+	opts := core.Options{EpochMs: 500, WarmupMs: 500, DurationMs: 2_000}
+	res, err := Run(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.NodesSimulated >= len(cfg.Placement) {
+		t.Errorf("%d units simulated for %d nodes; the fleet did not group", res.Stats.NodesSimulated, len(cfg.Placement))
+	}
+	cfg.NodeCache = nil
+	checkAgainstReference(t, res, referenceRun(t, cfg, opts))
 }

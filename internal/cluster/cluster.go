@@ -5,22 +5,22 @@
 // datacenter"; this package is the multi-node reading of that definition,
 // and shows how E_S ranks *placements* the same way it ranks schedulers.
 //
-// Run is a sharded fleet engine: the node index space is cut into
-// contiguous shards, shards fan out over a bounded worker pool
-// (internal/pool, the same implementation the experiment harness uses),
-// and every node runs its own engine with a private contention-solve memo.
-// Fleet mixes recur massively across nodes, so whole node simulations are
-// collapsed instead: DedupIdenticalNodes within a Run, a NodeCache across
-// Runs (nodecache.go). Aggregation is streaming: each shard accumulates
-// run-level entropy samples and compact per-node summaries as its nodes
-// finish, per-node core.Results are discarded by default (KeepResults
-// retains them), and shard accumulators are merged in node order — so a
-// 5000-node fleet fits comfortably in memory and the result is
-// byte-identical at every parallelism level.
+// Run is one sharded fleet engine for healthy and faulted runs alike. The
+// supervisor (supervisor.go) cuts the horizon into phases — a run without
+// a FleetPlan is a single phase — and every (phase, node) pair becomes one
+// simulation unit (chaos.go). Units with equal content keys are grouped
+// before sharding, so each distinct unit simulates once per Run, and a
+// NodeCache (nodecache.go) replays units across Runs. Units fan out in
+// contiguous shards over a bounded worker pool (internal/pool, the same
+// implementation the experiment harness uses); every unit runs its own
+// engine with a private contention-solve memo and is condensed into a
+// compact summary plus its entropy samples as it finishes. Records are
+// merged in (phase, node) slot order, so a 5000-node fleet fits
+// comfortably in memory and the result is byte-identical at every
+// parallelism level.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -39,11 +39,15 @@ import (
 type Config struct {
 	// Spec is each node's capacity.
 	Spec machine.Spec
-	// Seed drives all nodes deterministically (node i uses Seed+i).
+	// Seed drives all nodes deterministically, under the SeedPerNode
+	// policy.
 	Seed int64
-	// NewStrategy builds one strategy instance per node. It is called from
-	// shard workers, so it must be safe for concurrent calls and must
-	// return a fresh instance every time (strategies are stateful).
+	// NewStrategy builds one strategy instance per simulation unit. It is
+	// called from shard workers, so it must be safe for concurrent calls
+	// and must return a fresh instance every time (strategies are
+	// stateful). Units with equal content keys share one simulation, built
+	// with the first such unit's node index, so the factory must not
+	// depend on the node index.
 	NewStrategy func(node int) sched.Strategy
 	// Placement assigns the application set to nodes: Placement[i] holds
 	// node i's applications. Every node needs at least one application.
@@ -51,57 +55,38 @@ type Config struct {
 	// RI is the relative importance for the global entropy; 0 means the
 	// paper's 0.8.
 	RI float64
-	// Parallel bounds how many node simulations run simultaneously;
+	// Parallel bounds how many unit simulations run simultaneously;
 	// <= 0 means runtime.NumCPU(), 1 runs the shards sequentially.
-	// Results are merged in node order, so the output is identical at
+	// Results are merged in slot order, so the output is identical at
 	// every parallelism level.
 	Parallel int
-	// NodeSeed optionally overrides the per-node seed policy; nil means
-	// node i runs with Seed+i (independent stochastic streams per node).
-	// Screening runs that want common random numbers across replicated
-	// node templates supply a policy returning equal seeds for equal
-	// templates.
-	NodeSeed func(node int) int64
-	// DedupIdenticalNodes opts into fleet-level node memoisation: nodes
-	// whose seed and application template coincide — possible only under a
-	// NodeSeed policy assigning equal seeds — are provably bit-identical
-	// simulations, so the engine runs one representative per equivalence
-	// class and replicates its summary and samples to every member. The
-	// aggregate is byte-identical to simulating every node (pinned by
-	// TestDedupMatchesFullSimulation); only wall time changes. Requires
-	// NewStrategy to return node-index-agnostic strategies, and under
-	// KeepResults the members of a class share one *core.Result.
-	DedupIdenticalNodes bool
+	// SeedPerNode selects the seed policy. Off (the default), every node
+	// runs its applications in canonical order (CanonicalOrder) under a
+	// seed derived from Seed and those contents: common random numbers,
+	// so equal contents are identical simulations — grouped within a Run
+	// and replayed across Runs by a NodeCache. On, node i runs Seed+i over
+	// Placement[i] as given: independent stochastic streams per node.
+	SeedPerNode bool
 	// NodeCache optionally supplies a sweep-scoped cache of completed
-	// node simulations (nodecache.go): before simulating a class
-	// representative the engine looks up the class's content-addressed
-	// key — every input the simulation reads, bit-exactly — and a hit
-	// replays the record the identical computation produced in an earlier
-	// Run (or in a racing shard, via single-flight). Byte-identical
-	// output by construction; only wall time changes. Requires
-	// StrategyDigest and is rejected together with KeepResults (cached
-	// records deliberately do not retain full per-node results).
+	// unit simulations (nodecache.go): before simulating a unit the
+	// engine looks up its content-addressed key — every input the
+	// simulation reads, bit-exactly — and a hit replays the record the
+	// identical computation produced in an earlier Run (or in a racing
+	// shard, via single-flight). Byte-identical output by construction;
+	// only wall time changes. Requires StrategyDigest.
 	NodeCache *NodeCache
 	// StrategyDigest declares the identity of what NewStrategy builds —
-	// the one node-simulation input the engine cannot serialise itself,
-	// since the factory is opaque. Required when NodeCache is set; the
-	// digest must change whenever the strategy's behaviour (type, config,
-	// tunables) does, and the factory must return node-index-agnostic
-	// instances, exactly as DedupIdenticalNodes already requires.
+	// the one simulation input the engine cannot serialise itself, since
+	// the factory is opaque. Required when NodeCache is set; the digest
+	// must change whenever the strategy's behaviour (type, config,
+	// tunables) does.
 	StrategyDigest string
-	// KeepResults retains the full per-node core.Result in Result.Nodes.
-	// Off by default: at fleet scale the per-node results dominate memory,
-	// and the compact NodeSummary carries everything aggregation needs.
-	KeepResults bool
 	// FleetPlan optionally schedules fleet-scope faults — node crashes,
-	// capacity degradations, telemetry blackouts (faults.FleetPlan). A
-	// non-empty plan switches Run to the phased chaos engine (chaos.go):
-	// the supervisor cuts the horizon at every configuration change, each
+	// capacity degradations, telemetry blackouts (faults.FleetPlan). The
+	// supervisor cuts the horizon at every configuration change, each
 	// phase simulates fresh, and aggregation weighs samples by measured
-	// epochs with dead windows accounted explicitly. Unresolved plans are
-	// resolved against (Seed, len(Placement)). Incompatible with NodeSeed
-	// (chaos seeds content-wise via TemplateSeed) and KeepResults (phases
-	// do not produce one core.Result per node).
+	// epochs with dead windows accounted explicitly (chaos.go).
+	// Unresolved plans are resolved against (Seed, len(Placement)).
 	FleetPlan *faults.FleetPlan
 	// ReplaceEvicted turns on failure-aware re-placement under a
 	// FleetPlan: a crashed node's applications are evicted and re-placed
@@ -112,20 +97,14 @@ type Config struct {
 	ReplaceEvicted bool
 }
 
-// NodeResult pairs one node's full controller outcome with its index
-// (retained only under Config.KeepResults).
-type NodeResult struct {
-	Node   int
-	Result *core.Result
-}
-
 // NodeSummary is the compact per-node record the fleet engine keeps in
 // place of a full core.Result: the node's run-level entropies and the
 // counters fleet-level reporting aggregates.
 type NodeSummary struct {
 	Node int
-	// ELC/EBE/ES are the node's run-level entropies (core.Result.RunELC
-	// etc.); NaN-free only when the node had computable samples.
+	// ELC/EBE/ES are the node's run-level entropies over its pooled
+	// samples (in a fault-free run, core.Result.RunELC etc. of the node);
+	// NaN when the node had no computable samples.
 	ELC, EBE, ES float64
 	// Yield is the node-local satisfied fraction of its LC applications.
 	Yield float64
@@ -145,8 +124,8 @@ type NodeSummary struct {
 	// FleetPlan crashed it at some epoch.
 	Failed bool
 	// DownEpochs counts epochs (warm-up included) the node was dead: the
-	// whole horizon for an errored node, the crash coverage under a
-	// FleetPlan.
+	// horizon of every unit whose simulation errored, plus the crash
+	// coverage under a FleetPlan.
 	DownEpochs int
 	// Evictions counts applications the supervisor evicted from this node
 	// at its crash epochs (ReplaceEvicted only).
@@ -161,15 +140,14 @@ type NodeSummary struct {
 type FleetStats struct {
 	// NodesRun counts the fleet's logical nodes.
 	NodesRun int
-	// NodesSimulated counts engines actually driven: equal to NodesRun
-	// except under DedupIdenticalNodes, where it is the number of node
-	// equivalence classes.
+	// NodesSimulated counts engines actually driven: the distinct
+	// simulation units of the run, less those replayed from the NodeCache.
 	NodesSimulated int
 	// MemoHits are per-engine memo hits, Solves are full fixed-point
 	// solves, summed over the engines actually driven.
 	MemoHits, Solves uint64
-	// NodeCacheHits counts node classes whose simulation was replayed
-	// from Config.NodeCache instead of being run.
+	// NodeCacheHits counts units whose simulation was replayed from
+	// Config.NodeCache instead of being run.
 	NodeCacheHits uint64
 	// FailedNodes counts nodes with NodeSummary.Failed set; DownEpochs and
 	// Evictions sum the corresponding per-node counters. Deterministic.
@@ -180,9 +158,6 @@ type FleetStats struct {
 type Result struct {
 	// Summaries holds the compact per-node records, in node order.
 	Summaries []NodeSummary
-	// Nodes holds the full per-node controller results, only when
-	// Config.KeepResults; empty otherwise.
-	Nodes []NodeResult
 	// GlobalELC/GlobalEBE/GlobalES are computed over the pooled run-level
 	// samples of every application in the cluster — the datacenter-wide
 	// E_S of the paper's definition.
@@ -197,10 +172,9 @@ type Result struct {
 	TotalViolationEpochs int
 	// MeasuredEpochs sums the per-node measured monitoring intervals.
 	MeasuredEpochs int
-	// LCAppEpochs is the explicit LC-application-epoch denominator the
-	// chaos engine maintains: alive LC app-epochs plus dead LC app-epochs
-	// (which all count as violations). Zero outside chaos runs — the
-	// legacy path derives the denominator from the summaries.
+	// LCAppEpochs is the LC-application-epoch denominator of the
+	// violation rate: alive LC app-epochs plus dead LC app-epochs (which
+	// all count as violations).
 	LCAppEpochs int
 	// Evictions/Replacements/Abandoned count the supervisor's actions
 	// under a FleetPlan with ReplaceEvicted; MeanRecoveryEpochs averages
@@ -212,20 +186,13 @@ type Result struct {
 }
 
 // ViolationRate is the fleet's LC violation fraction: violation epochs per
-// measured LC-application-epoch. Zero when the fleet has no LC epochs.
-// Chaos runs carry the denominator explicitly (dead LC app-epochs count on
-// both sides); otherwise it derives from the per-node summaries.
+// measured LC-application-epoch (dead LC app-epochs count on both sides).
+// Zero when the fleet has no LC epochs.
 func (r *Result) ViolationRate() float64 {
-	lcEpochs := r.LCAppEpochs
-	if lcEpochs == 0 {
-		for i := range r.Summaries {
-			lcEpochs += r.Summaries[i].Epochs * r.Summaries[i].LCApps
-		}
-	}
-	if lcEpochs == 0 {
+	if r.LCAppEpochs == 0 {
 		return 0
 	}
-	return float64(r.TotalViolationEpochs) / float64(lcEpochs)
+	return float64(r.TotalViolationEpochs) / float64(r.LCAppEpochs)
 }
 
 // statsCollector accumulates FleetStats across shard workers.
@@ -252,110 +219,30 @@ func (c *statsCollector) snapshot() FleetStats {
 	return s
 }
 
-// nodeClass is one simulation equivalence class: the representative node
-// index, its seed, its canonical template serialisation (empty when the
-// template is not key-serialisable or no consumer needs it), and every
-// node the class covers. Without dedup each node is its own singleton
-// class, so the class list IS the node list.
-type nodeClass struct {
-	rep      int
-	seed     int64
-	template string
-	members  []int
-}
-
-// nodeSeed applies the configured per-node seed policy.
-func nodeSeed(cfg *Config, i int) int64 {
-	if cfg.NodeSeed != nil {
-		return cfg.NodeSeed(i)
-	}
-	return cfg.Seed + int64(i)
-}
-
-// nodeClasses groups the fleet into simulation classes by canonical
-// template digest: two nodes land in one class exactly when their seeds
-// match and their templates serialise to the same full key — the digest IS
-// the complete serialisation, compared by map-key equality, so grouping is
-// collision-safe without any deep-equality confirmation pass and the scan
-// is O(total template size) instead of the old quadratic within-bucket
-// reflect.DeepEqual walk. Nodes whose template is not key-serialisable are
-// never grouped (each stays a singleton class, the conservative reading).
-// Grouping scans nodes in ascending order and always elects the lowest
-// member as the representative, so the class list — and therefore
-// everything downstream — is deterministic for a fixed configuration.
-// Template keys are retained on the classes when the Run carries a
-// NodeCache, which shares this exact serialisation machinery.
-func nodeClasses(cfg *Config) []nodeClass {
-	n := len(cfg.Placement)
-	needKeys := cfg.NodeCache != nil
-	classes := make([]nodeClass, 0, n)
-	if !cfg.DedupIdenticalNodes {
-		for i := 0; i < n; i++ {
-			c := nodeClass{rep: i, seed: nodeSeed(cfg, i), members: []int{i}}
-			if needKeys {
-				if k, ok := templateKey(cfg.Placement[i]); ok {
-					c.template = string(k)
-				}
-			}
-			classes = append(classes, c)
-		}
-		return classes
-	}
-	type bucketKey struct {
-		seed     int64
-		template string
-	}
-	buckets := make(map[bucketKey]int, n)
-	for i := 0; i < n; i++ {
-		seed := nodeSeed(cfg, i)
-		k, ok := templateKey(cfg.Placement[i])
-		if !ok {
-			classes = append(classes, nodeClass{rep: i, seed: seed, members: []int{i}})
-			continue
-		}
-		bk := bucketKey{seed, string(k)}
-		if ci, dup := buckets[bk]; dup {
-			classes[ci].members = append(classes[ci].members, i)
-			continue
-		}
-		buckets[bk] = len(classes)
-		classes = append(classes, nodeClass{rep: i, seed: seed, template: bk.template, members: []int{i}})
-	}
-	if !needKeys {
-		// The serialisations were only grouping scratch; do not retain
-		// them past classing.
-		for i := range classes {
-			classes[i].template = ""
-		}
-	}
-	return classes
-}
-
-// classOut is one simulated class's streaming record: the summary
-// template (Node is stamped per member at merge), the class's valid
-// entropy samples, and the full result when kept.
+// classOut is one simulated unit's streaming record: the summary
+// template (the merge attributes it to every slot the unit covers) and the
+// unit's valid entropy samples.
 type classOut struct {
 	sum NodeSummary
 	lc  []entropy.LCSample
 	be  []entropy.BESample
-	res *core.Result // populated only under Config.KeepResults
 }
 
-// shardAccum is one shard's streaming accumulator: class records for a
-// contiguous class range, appended in class order as each representative
-// finishes and its full result is dropped.
+// shardAccum is one shard's streaming accumulator: unit records for a
+// contiguous unit range, appended in unit order as each unit finishes and
+// its full result is dropped.
 type shardAccum struct {
 	outs []classOut
 }
 
 // shardsFor picks the shard count: enough shards per worker that an
 // unlucky slow shard cannot serialise the tail of the run, never more
-// shards than nodes. The count never affects results — shard accumulators
-// are merged in node order regardless of how the index space was cut.
-func shardsFor(nodes, workers int) int {
+// shards than units. The count never affects results — shard accumulators
+// are merged in unit order regardless of how the index space was cut.
+func shardsFor(units, workers int) int {
 	s := workers * 4
-	if s > nodes {
-		s = nodes
+	if s > units {
+		s = units
 	}
 	if s < 1 {
 		s = 1
@@ -363,9 +250,9 @@ func shardsFor(nodes, workers int) int {
 	return s
 }
 
-// Run drives every node of the fleet for the same horizon and aggregates.
-// With a non-empty Config.FleetPlan the run goes through the phased chaos
-// engine (chaos.go) instead of the single-segment path below.
+// Run drives every node of the fleet for the same horizon and aggregates,
+// through the phased engine (chaos.go): a run without a FleetPlan is a
+// one-phase schedule.
 func Run(cfg Config, opts core.Options) (*Result, error) {
 	if len(cfg.Placement) == 0 {
 		return nil, fmt.Errorf("cluster: empty placement")
@@ -378,108 +265,14 @@ func Run(cfg Config, opts core.Options) (*Result, error) {
 			return nil, fmt.Errorf("cluster: node %d has no applications", i)
 		}
 	}
-	if cfg.NodeCache != nil {
-		if cfg.StrategyDigest == "" {
-			return nil, fmt.Errorf("cluster: NodeCache requires a StrategyDigest (the strategy factory is opaque; declare what it builds)")
-		}
-		if cfg.KeepResults {
-			return nil, fmt.Errorf("cluster: NodeCache cannot be combined with KeepResults (cached records do not retain full per-node results)")
-		}
-	}
-	if !cfg.FleetPlan.Empty() {
-		if cfg.NodeSeed != nil {
-			return nil, fmt.Errorf("cluster: FleetPlan cannot be combined with NodeSeed (chaos phases seed content-wise via TemplateSeed)")
-		}
-		if cfg.KeepResults {
-			return nil, fmt.Errorf("cluster: FleetPlan cannot be combined with KeepResults (phases do not produce one core.Result per node)")
-		}
+	if cfg.NodeCache != nil && cfg.StrategyDigest == "" {
+		return nil, fmt.Errorf("cluster: NodeCache requires a StrategyDigest (the strategy factory is opaque; declare what it builds)")
 	}
 	ri := cfg.RI
 	if ri == 0 {
 		ri = entropy.DefaultRI
 	}
-	if !cfg.FleetPlan.Empty() {
-		return runChaos(cfg, opts, ri)
-	}
-
-	n := len(cfg.Placement)
-	classes := nodeClasses(&cfg)
-	classOf := make([]int, n)
-	for ci, c := range classes {
-		for _, m := range c.members {
-			classOf[m] = ci
-		}
-	}
-	var keyPrefix []byte
-	if cfg.NodeCache != nil {
-		keyPrefix = nodeKeyPrefix(&cfg, opts, ri)
-	}
-	units := make([]shardUnit, len(classes))
-	for ci, c := range classes {
-		units[ci] = shardUnit{unit: simUnit{
-			node: c.rep, apps: cfg.Placement[c.rep],
-			spec: cfg.Spec, seed: c.seed, opts: opts,
-		}}
-		if cfg.NodeCache != nil && c.template != "" {
-			units[ci].key = nodeKey(keyPrefix, c.seed, c.template)
-		}
-	}
-	outs, stats, err := runUnits(&cfg, units)
-	if err != nil {
-		return nil, err
-	}
-
-	// Expand class records to nodes in node order — the merge is invariant
-	// to shard count and scheduling.
-	res := &Result{Summaries: make([]NodeSummary, 0, n)}
-	var lcAll []entropy.LCSample
-	var beAll []entropy.BESample
-	for i := 0; i < n; i++ {
-		co := &outs[classOf[i]]
-		sum := co.sum
-		sum.Node = i
-		res.Summaries = append(res.Summaries, sum)
-		lcAll = append(lcAll, co.lc...)
-		beAll = append(beAll, co.be...)
-		res.TotalViolationEpochs += sum.ViolationEpochs
-		res.MeasuredEpochs += sum.Epochs
-		if cfg.KeepResults {
-			res.Nodes = append(res.Nodes, NodeResult{Node: i, Result: co.res})
-		}
-	}
-
-	elc, ebe, es, err := entropy.System{RI: ri}.Compute(lcAll, beAll)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: global entropy: %w", err)
-	}
-	res.GlobalELC, res.GlobalEBE, res.GlobalES = elc, ebe, es
-	// An absent-LC fleet legitimately has no yield; anything else failing
-	// here is a real error and must not silently leave GlobalYield at 0.
-	switch y, err := entropy.Yield(lcAll); {
-	case err == nil:
-		res.GlobalYield, res.YieldDefined = y, true
-	case errors.Is(err, entropy.ErrNoSamples):
-		// BE-only fleet: recorded explicitly via YieldDefined == false.
-	default:
-		return nil, fmt.Errorf("cluster: global yield: %w", err)
-	}
-	res.Stats = stats
-	res.Stats.NodesRun = n
-	addIncidentCounters(res)
-	return res, nil
-}
-
-// addIncidentCounters derives the deterministic fleet incident counters
-// from the merged per-node summaries.
-func addIncidentCounters(res *Result) {
-	for i := range res.Summaries {
-		s := &res.Summaries[i]
-		if s.Failed {
-			res.Stats.FailedNodes++
-		}
-		res.Stats.DownEpochs += s.DownEpochs
-		res.Stats.Evictions += s.Evictions
-	}
+	return runPhases(cfg, opts, ri)
 }
 
 // runUnits fans the unit list out over the worker pool in contiguous
@@ -559,8 +352,7 @@ func uniquify(apps []sim.AppConfig) []sim.AppConfig {
 // simUnit is one node simulation the engine must run: the node (for error
 // labels and the strategy factory), its applications, capacity, seed,
 // controller options, and an optional node-local telemetry-blackout plan.
-// The legacy path builds one unit per node class over the run's shared
-// spec and options; the chaos engine builds one per (phase, node).
+// The engine builds one per (phase, node) slot of the schedule.
 type simUnit struct {
 	node     int
 	apps     []sim.AppConfig
@@ -594,8 +386,7 @@ var shardFailHook func(shard int) error
 // whose simulation errors no longer kills the fleet: the error is
 // published (and its cache entry dropped, so the key can be re-simulated),
 // then absorbed into a Failed record carrying saturated dead-window
-// samples, and the run continues. Full per-node results are dropped unless
-// the configuration keeps them.
+// samples, and the run continues. Full per-unit results are dropped.
 func runShard(cfg Config, shard int, units []shardUnit, stats *statsCollector) (*shardAccum, error) {
 	if shardFailHook != nil {
 		if err := shardFailHook(shard); err != nil {
@@ -690,9 +481,6 @@ func simulateUnit(cfg *Config, u simUnit) (classOut, classSolveStats, error) {
 			}
 		}
 	}
-	if cfg.KeepResults {
-		co.res = nodeRes
-	}
 	var cs classSolveStats
 	cs.memoHits, cs.solves = engine.SolveStats()
 	return co, cs, nil
@@ -707,8 +495,8 @@ func simulateUnit(cfg *Config, u simUnit) (classOut, classSolveStats, error) {
 // application counts as a violation.
 func deadUnitOut(u simUnit) classOut {
 	o := u.opts.WithDefaults()
-	total := int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
-	measured := total - int(math.Ceil(o.WarmupMs/o.EpochMs))
+	total, warm := horizonEpochs(o)
+	measured := total - warm
 	co := classOut{sum: NodeSummary{
 		Failed: true, DownEpochs: total, Epochs: measured,
 	}}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ahq/internal/core"
+	"ahq/internal/entropy"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
@@ -112,9 +113,6 @@ func TestClusterRunAggregates(t *testing.T) {
 	if len(res.Summaries) != 2 {
 		t.Fatalf("got %d node summaries", len(res.Summaries))
 	}
-	if len(res.Nodes) != 0 {
-		t.Fatalf("full results retained without KeepResults: %d", len(res.Nodes))
-	}
 	for i, s := range res.Summaries {
 		if s.Node != i {
 			t.Errorf("summary %d is for node %d; merge order broken", i, s.Node)
@@ -146,36 +144,75 @@ func TestClusterRunAggregates(t *testing.T) {
 	}
 }
 
-// TestKeepResultsMatchesSummaries pins that the streaming summaries carry
-// the same values callers previously read off the full per-node results.
-func TestKeepResultsMatchesSummaries(t *testing.T) {
-	placement, err := Balanced(fleetApps(), 2)
-	if err != nil {
-		t.Fatal(err)
+// coreRuns drives every node of a SeedPerNode fleet directly through
+// core.Run, the per-node reading Run's one-phase schedule must reproduce.
+func coreRuns(t *testing.T, cfg Config, opts core.Options) []*core.Result {
+	t.Helper()
+	out := make([]*core.Result, len(cfg.Placement))
+	for i, apps := range cfg.Placement {
+		engine, err := sim.New(sim.Config{Spec: cfg.Spec, Seed: cfg.Seed + int64(i), Apps: uniquify(apps)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = core.Run(engine, cfg.NewStrategy(i), opts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cfg := Config{
-		Spec:        machine.DefaultSpec(),
-		Seed:        1,
-		NewStrategy: func(int) sched.Strategy { return arq.Default() },
-		Placement:   placement,
-		KeepResults: true,
-	}
+	return out
+}
+
+// TestSummariesMatchCoreRun pins that a fault-free SeedPerNode run's
+// per-node summaries equal a direct core.Run of each node, float bit for
+// float bit.
+func TestSummariesMatchCoreRun(t *testing.T) {
+	cfg := fleetConfig(2)
+	cfg.SeedPerNode = true
 	res, err := Run(cfg, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Nodes) != 2 {
-		t.Fatalf("KeepResults retained %d node results", len(res.Nodes))
-	}
-	for i, nr := range res.Nodes {
-		if nr.Node != i {
-			t.Errorf("node result %d is for node %d", i, nr.Node)
-		}
+	for i, r := range coreRuns(t, cfg, quickOpts()) {
 		s := res.Summaries[i]
-		if s.ES != nr.Result.RunES || s.Yield != nr.Result.Yield ||
-			s.ViolationEpochs != nr.Result.TotalViolationEpochs || s.Epochs != nr.Result.Epochs {
-			t.Errorf("node %d summary diverges from its full result: %+v", i, s)
+		if s.ELC != r.RunELC || s.EBE != r.RunEBE || s.ES != r.RunES || s.Yield != r.Yield ||
+			s.ViolationEpochs != r.TotalViolationEpochs || s.Epochs != r.Epochs ||
+			s.Incidents != len(r.Incidents) || s.LCApps+s.BEApps != len(r.Apps) {
+			t.Errorf("node %d summary diverges from its core.Run: %+v", i, s)
 		}
+	}
+}
+
+// TestHealthyGlobalsMatchSystem pins the weight-1 rule: in a one-phase
+// schedule every pooled sample weighs 1, so the fleet entropies and yield
+// equal entropy.System and entropy.Yield over the pooled per-node samples,
+// float bit for float bit.
+func TestHealthyGlobalsMatchSystem(t *testing.T) {
+	cfg := fleetConfig(2)
+	cfg.SeedPerNode = true
+	res, err := Run(cfg, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lc []entropy.LCSample
+	var be []entropy.BESample
+	for _, r := range coreRuns(t, cfg, quickOpts()) {
+		for _, a := range r.Apps {
+			if a.Spec.Class == workload.LC && a.LCSample.Validate() == nil {
+				lc = append(lc, a.LCSample)
+			} else if a.Spec.Class != workload.LC && a.BESample.Validate() == nil {
+				be = append(be, a.BESample)
+			}
+		}
+	}
+	elc, ebe, es, err := entropy.System{RI: entropy.DefaultRI}.Compute(lc, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GlobalELC != elc || res.GlobalEBE != ebe || res.GlobalES != es {
+		t.Errorf("fleet entropies %v/%v/%v, entropy.System over the pooled samples %v/%v/%v",
+			res.GlobalELC, res.GlobalEBE, res.GlobalES, elc, ebe, es)
+	}
+	if y, err := entropy.Yield(lc); err != nil || !res.YieldDefined || res.GlobalYield != y {
+		t.Errorf("fleet yield %v (defined %v), entropy.Yield %v (%v)", res.GlobalYield, res.YieldDefined, y, err)
 	}
 }
 

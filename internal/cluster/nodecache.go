@@ -7,17 +7,17 @@ package cluster
 // population is a small catalog of service templates at quantised load
 // steps, so two placements (and two fleet sizes) keep producing nodes
 // whose simulations are bit-for-bit the same computation. Within a single
-// cluster.Run the DedupIdenticalNodes classing already collapses them;
-// across Runs every placement re-simulated everything.
+// cluster.Run the engine groups units with equal content keys; across Runs
+// every placement would re-simulate everything.
 //
 // NodeCache extends the collapse to the whole sweep: a concurrency-safe,
-// sharded, bounded, content-addressed cache of *completed node
+// sharded, bounded, content-addressed cache of *completed unit
 // simulations*. The key is a bit-exact serialisation of every input a
-// node simulation reads — machine spec, core.Options, RI, the engine
-// tunables, a caller-supplied strategy identity digest, the node seed,
-// and the canonical application template list, floats encoded by their
-// IEEE-754 bit patterns — and the value is the node's classOut (summary
-// template plus entropy samples). A hit
+// unit simulation reads — machine spec, core.Options, RI, the engine
+// tunables, a caller-supplied strategy identity digest, the blackout plan,
+// the seed, and the application template list, floats encoded by their
+// IEEE-754 bit patterns (phaseUnits) — and the value is the unit's
+// classOut (summary template plus entropy samples). A hit
 // therefore replays the exact record the identical computation produced
 // elsewhere, and output stays byte-identical by construction; only wall
 // time changes. Entries are published through a single-flight protocol:
@@ -32,10 +32,10 @@ package cluster
 // records.
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"sync"
 
-	"ahq/internal/core"
 	"ahq/internal/sim"
 )
 
@@ -239,77 +239,59 @@ func (e *nodeCacheEntry) wait() (classOut, error) {
 	return e.out, e.err
 }
 
-// templateKey canonically serialises one node's application template — the
-// Apps slice a node simulation would be constructed with, in order. It
-// reports ok=false when some application is not key-serialisable (a load
-// profile outside trace's catalog); such nodes are simulated uncached and,
-// under DedupIdenticalNodes, never grouped with any other node.
-func templateKey(apps []sim.AppConfig) (key []byte, ok bool) {
-	b := make([]byte, 0, 96*len(apps))
-	b = sim.AppendKeyInt(b, len(apps))
-	for _, a := range apps {
+// orderedTemplate serialises a node's applications once and returns them
+// with their template key: the application count, then every
+// application's key, floats as IEEE-754 bit patterns. With canonical set
+// the applications come back in canonical order (see CanonicalOrder),
+// otherwise as given. The key is nil when some application is not
+// key-serialisable (a load profile outside trace's catalog); such units
+// are simulated uncached and never grouped with any other unit.
+func orderedTemplate(apps []sim.AppConfig, canonical bool) ([]sim.AppConfig, []byte) {
+	type keyed struct {
+		app sim.AppConfig
+		key []byte // this application's bytes of b
+	}
+	b := sim.AppendKeyInt(make([]byte, 0, 96*len(apps)), len(apps))
+	head, ok := len(b), true
+	ks := make([]keyed, len(apps))
+	for i, a := range apps {
+		lo := len(b)
 		var aok bool
 		if b, aok = sim.AppendAppKey(b, a); !aok {
-			return nil, false
+			// Unserialisable apps sort after serialisable ones, by name.
+			b, ok = append(append(b[:lo], 0xff), a.Name()...), false
 		}
+		ks[i] = keyed{a, b[lo:]}
 	}
-	return b, true
-}
-
-// nodeKeyPrefix serialises the per-Run node-simulation inputs shared by
-// every node of the fleet: the machine spec, the controller options
-// (post-default, so spelling a default explicitly cannot split the key),
-// the aggregation RI, the engine tunables the cluster engine runs
-// (DefaultTunables — cluster.Run constructs its engines without overrides,
-// and the serialisation pins that assumption), and the caller's strategy
-// identity digest. The per-node seed and template are appended by nodeKey.
-func nodeKeyPrefix(cfg *Config, opts core.Options, ri float64) []byte {
-	opts = opts.WithDefaults()
-	b := make([]byte, 0, 256)
-	b = sim.AppendKeyInt(b, cfg.Spec.Cores)
-	b = sim.AppendKeyInt(b, cfg.Spec.LLCWays)
-	b = sim.AppendKeyInt(b, cfg.Spec.MemBWUnits)
-	b = sim.AppendKeyFloat(b, cfg.Spec.MemBWGBps)
-	b = sim.AppendKeyFloat(b, opts.EpochMs)
-	b = sim.AppendKeyFloat(b, opts.WarmupMs)
-	b = sim.AppendKeyFloat(b, opts.DurationMs)
-	b = sim.AppendKeyFloat(b, opts.RI)
-	if opts.RecordTimeline {
-		b = append(b, 'T')
+	byKey := func(x, y keyed) int { return bytes.Compare(x.key, y.key) }
+	if canonical && !slices.IsSortedFunc(ks, byKey) {
+		slices.SortStableFunc(ks, byKey)
+		apps = make([]sim.AppConfig, len(ks))
+		sorted := append(make([]byte, 0, len(b)), b[:head]...)
+		for i, k := range ks {
+			apps[i] = k.app
+			sorted = append(sorted, k.key...)
+		}
+		b = sorted
 	}
-	b = sim.AppendKeyFloat(b, ri)
-	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
-	b = sim.AppendKeyString(b, cfg.StrategyDigest)
-	return append(b, '|')
+	if !ok {
+		return apps, nil
+	}
+	return apps, b
 }
 
-// nodeKey completes a class's cache key: the Run-level prefix, the class
-// seed, and the canonical template serialisation.
-func nodeKey(prefix []byte, seed int64, template string) cacheKey {
-	b := make([]byte, 0, len(prefix)+20+len(template))
-	b = append(b, prefix...)
-	b = sim.AppendKeyInt64(b, seed)
-	b = append(b, template...)
-	return cacheKey{s: string(b), hash: keyHash(seed, fnv1a(template))}
-}
-
-// TemplateSeed derives a node seed from the node's application template:
-// equal templates get equal seeds, which is the common-random-numbers
-// policy screening sweeps want — identical node contents become identical
-// simulations, so DedupIdenticalNodes can collapse them within a Run and a
-// NodeCache can replay them across Runs. The base seed perturbs the whole
-// assignment, so distinct sweeps stay independent. Templates that are not
-// key-serialisable fall back to a name-signature hash: still deterministic
-// and still CRN across equal-looking nodes, merely coarser (seeds may
-// coincide across templates that differ only in unserialisable state,
-// which is harmless — the classing layer never groups such nodes).
-func TemplateSeed(base int64, apps []sim.AppConfig) int64 {
-	k, ok := templateKey(apps)
-	return templateSeed(base, apps, k, ok)
-}
-
-// templateSeed is TemplateSeed over an already computed templateKey result.
-func templateSeed(base int64, apps []sim.AppConfig, k []byte, ok bool) int64 {
+// templateSeed derives a node seed from the node's applications and their
+// template key k (nil when not key-serialisable): equal templates get
+// equal seeds, which is the common-random-numbers policy screening sweeps
+// want and the engine's default — identical node contents become
+// identical simulations, so Run groups them and a NodeCache replays them
+// across Runs. The base seed perturbs the whole assignment, so distinct
+// sweeps stay independent. Templates that are not key-serialisable fall
+// back to a name-signature hash: still deterministic and still CRN across
+// equal-looking nodes, merely coarser (seeds may coincide across templates
+// that differ only in unserialisable state, which is harmless — such
+// units are never grouped).
+func templateSeed(base int64, apps []sim.AppConfig, k []byte) int64 {
 	h := uint64(14695981039346656037)
 	mix := func(bs []byte) {
 		for _, c := range bs {
@@ -322,7 +304,7 @@ func templateSeed(base int64, apps []sim.AppConfig, k []byte, ok bool) int64 {
 		seedBuf[i] = byte(uint64(base) >> (8 * i))
 	}
 	mix(seedBuf[:])
-	if ok {
+	if k != nil {
 		mix(k)
 	} else {
 		for _, a := range apps {
@@ -339,33 +321,15 @@ func templateSeed(base int64, apps []sim.AppConfig, k []byte, ok bool) int64 {
 // strategies emit the same node content in whatever order their internals
 // happened to append it; a sweep that canonicalises each node before
 // simulating makes "same multiset of applications" mean "same simulation",
-// which is what lets dedup and the NodeCache recognise recurrences across
-// placements. The input slice is not modified.
+// which is what lets Run's grouping and the NodeCache recognise
+// recurrences across placements (Run applies it to every node under the
+// default seed policy). The input slice is not modified, and is returned
+// as is when already canonical.
 func CanonicalOrder(apps []sim.AppConfig) []sim.AppConfig {
 	if len(apps) < 2 {
 		return apps
 	}
-	type keyed struct {
-		app sim.AppConfig
-		key string
-	}
-	ks := make([]keyed, len(apps))
-	for i, a := range apps {
-		if k, ok := sim.AppendAppKey(nil, a); ok {
-			ks[i] = keyed{a, string(k)}
-		} else {
-			// Unserialisable apps sort after serialisable ones, by name.
-			ks[i] = keyed{a, "\xff" + a.Name()}
-		}
-	}
-	if sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i].key < ks[j].key }) {
-		return apps
-	}
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]sim.AppConfig, len(apps))
-	for i, k := range ks {
-		out[i] = k.app
-	}
+	out, _ := orderedTemplate(apps, true)
 	return out
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ahq/internal/core"
+	"ahq/internal/faults"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
@@ -21,25 +22,24 @@ import (
 )
 
 // cachedFleetConfig is a small CRN fleet whose contents recur: four nodes
-// over two templates, content-derived seeds, dedup on.
+// over two templates under the default content-derived seeds.
 func cachedFleetConfig(cache *NodeCache) Config {
 	a := []sim.AppConfig{lcAt("xapian", 0.5), beApp("stream")}
 	b := []sim.AppConfig{lcAt("moses", 0.35), lcAt("silo", 0.2), beApp("fluidanimate")}
-	placement := [][]sim.AppConfig{a, b, a, b}
-	seeds := make([]int64, len(placement))
-	for i := range placement {
-		seeds[i] = TemplateSeed(11, placement[i])
-	}
 	return Config{
-		Spec:                machine.DefaultSpec(),
-		Seed:                11,
-		NewStrategy:         func(int) sched.Strategy { return arq.Default() },
-		Placement:           placement,
-		NodeSeed:            func(i int) int64 { return seeds[i] },
-		DedupIdenticalNodes: true,
-		NodeCache:           cache,
-		StrategyDigest:      "arq:default",
+		Spec:           machine.DefaultSpec(),
+		Seed:           11,
+		NewStrategy:    func(int) sched.Strategy { return arq.Default() },
+		Placement:      [][]sim.AppConfig{a, b, a, b},
+		NodeCache:      cache,
+		StrategyDigest: "arq:default",
 	}
+}
+
+// seedOf is the default seed policy's seed for a node template.
+func seedOf(base int64, apps []sim.AppConfig) int64 {
+	_, k := orderedTemplate(apps, false)
+	return templateSeed(base, apps, k)
 }
 
 // TestNodeCacheHitIsBitIdentical pins the core contract: a Run served from
@@ -78,7 +78,7 @@ func TestNodeCacheHitIsBitIdentical(t *testing.T) {
 }
 
 // TestNodeCacheDistinctInputsMiss pins the key: runs differing in machine
-// spec, controller options, node seed, or strategy digest must not adopt
+// spec, controller options, base seed, or strategy digest must not adopt
 // each other's records — and, because every input is in the key, their
 // results must equal a fresh uncached run of the same configuration.
 func TestNodeCacheDistinctInputsMiss(t *testing.T) {
@@ -99,7 +99,7 @@ func TestNodeCacheDistinctInputsMiss(t *testing.T) {
 		},
 		"seed": func() (Config, core.Options) {
 			cfg := cachedFleetConfig(cache)
-			cfg.NodeSeed = func(i int) int64 { return 77 }
+			cfg.Seed = 77
 			return cfg, quickOpts()
 		},
 		"strategy-digest": func() (Config, core.Options) {
@@ -139,11 +139,6 @@ func TestNodeCacheRequiresStrategyDigest(t *testing.T) {
 	cfg.StrategyDigest = ""
 	if _, err := Run(cfg, quickOpts()); err == nil {
 		t.Error("NodeCache without StrategyDigest was accepted")
-	}
-	cfg = cachedFleetConfig(NewNodeCache())
-	cfg.KeepResults = true
-	if _, err := Run(cfg, quickOpts()); err == nil {
-		t.Error("NodeCache with KeepResults was accepted")
 	}
 }
 
@@ -271,11 +266,11 @@ func TestNodeCacheConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestNodeClassesDigestGrouping is the regression test for the classing
-// rewrite: many templates sharing one name signature but differing in load
-// — the shape that made the old within-bucket reflect.DeepEqual grouping
-// quadratic — must stay distinct classes, while true duplicates group, in
-// one linear digest pass.
+// TestNodeClassesDigestGrouping is the regression test for digest
+// grouping: many templates sharing one name signature but differing in
+// load — the shape that made an old within-bucket reflect.DeepEqual
+// grouping quadratic — must stay distinct units, while true duplicates
+// group, in one linear key pass, with every slot pointing at its unit.
 func TestNodeClassesDigestGrouping(t *testing.T) {
 	const distinct = 200
 	placement := make([][]sim.AppConfig, 0, 2*distinct)
@@ -286,22 +281,25 @@ func TestNodeClassesDigestGrouping(t *testing.T) {
 	for i := 0; i < distinct; i++ {
 		placement = append(placement, []sim.AppConfig{lcAt("xapian", float64(i+1)/float64(distinct+1))})
 	}
-	cfg := Config{
-		Placement:           placement,
-		DedupIdenticalNodes: true,
-		Seed:                3,
-		NodeSeed:            func(int) int64 { return 3 },
+	cfg := Config{Spec: machine.DefaultSpec(), Placement: placement, Seed: 3}
+	total, _ := horizonEpochs(quickOpts().WithDefaults())
+	plan := &faults.FleetPlan{}
+	sched := supervise(plan, placement, cfg.Spec, false, total)
+	units, slots := groupUnits(&cfg, plan, sched, quickOpts(), 0.8)
+	if len(units) != distinct {
+		t.Fatalf("grouped %d nodes into %d units, want %d", len(placement), len(units), distinct)
 	}
-	classes := nodeClasses(&cfg)
-	if len(classes) != distinct {
-		t.Fatalf("grouped %d nodes into %d classes, want %d", len(placement), len(classes), distinct)
+	if len(slots) != len(placement) {
+		t.Fatalf("%d slots for %d nodes", len(slots), len(placement))
 	}
-	for ci, c := range classes {
-		if len(c.members) != 2 {
-			t.Errorf("class %d has %d members, want 2", ci, len(c.members))
+	for i, sl := range slots {
+		if sl.node != i || sl.unit != i%distinct {
+			t.Errorf("slot %d = node %d unit %d, want node %d unit %d", i, sl.node, sl.unit, i, i%distinct)
 		}
-		if c.members[0] != ci || c.members[1] != ci+distinct {
-			t.Errorf("class %d members = %v, want [%d %d]", ci, c.members, ci, ci+distinct)
+	}
+	for ui, u := range units {
+		if u.unit.node != ui {
+			t.Errorf("unit %d simulates node %d, want its first slot %d", ui, u.unit.node, ui)
 		}
 	}
 }
@@ -313,15 +311,18 @@ func TestCanonicalOrderIsOrderInsensitive(t *testing.T) {
 	a := []sim.AppConfig{lcAt("xapian", 0.5), beApp("stream"), lcAt("moses", 0.2)}
 	b := []sim.AppConfig{a[2], a[0], a[1]}
 	ca, cb := CanonicalOrder(a), CanonicalOrder(b)
-	ka, oka := templateKey(ca)
-	kb, okb := templateKey(cb)
-	if !oka || !okb {
+	_, ka := orderedTemplate(ca, false)
+	_, kb := orderedTemplate(cb, false)
+	if ka == nil || kb == nil {
 		t.Fatal("catalog templates must be key-serialisable")
 	}
 	if string(ka) != string(kb) {
 		t.Error("permuted node contents canonicalised differently")
 	}
-	if kc, _ := templateKey(CanonicalOrder([]sim.AppConfig{lcAt("xapian", 0.7)})); string(kc) == string(ka) {
+	if _, k := orderedTemplate(b, true); string(k) != string(ka) {
+		t.Error("canonical template key differs from serialising the canonical order")
+	}
+	if _, kc := orderedTemplate([]sim.AppConfig{lcAt("xapian", 0.7)}, true); string(kc) == string(ka) {
 		t.Error("distinct contents share a canonical key")
 	}
 	again := CanonicalOrder(ca)
@@ -336,14 +337,14 @@ func TestCanonicalOrderIsOrderInsensitive(t *testing.T) {
 func TestTemplateSeedCRN(t *testing.T) {
 	a := CanonicalOrder([]sim.AppConfig{lcAt("xapian", 0.5), beApp("stream")})
 	b := CanonicalOrder([]sim.AppConfig{beApp("stream"), lcAt("xapian", 0.5)})
-	if TemplateSeed(42, a) != TemplateSeed(42, b) {
+	if seedOf(42, a) != seedOf(42, b) {
 		t.Error("equal canonical contents got different seeds")
 	}
-	if TemplateSeed(42, a) == TemplateSeed(43, a) {
+	if seedOf(42, a) == seedOf(43, a) {
 		t.Error("base seed does not perturb template seeds")
 	}
 	c := []sim.AppConfig{lcAt("xapian", 0.7), beApp("stream")}
-	if TemplateSeed(42, a) == TemplateSeed(42, c) {
+	if seedOf(42, a) == seedOf(42, c) {
 		t.Error("distinct contents got the same seed")
 	}
 }

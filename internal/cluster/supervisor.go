@@ -1,13 +1,15 @@
 package cluster
 
 // The fleet supervisor turns a resolved faults.FleetPlan into a phase
-// schedule the chaos engine (chaos.go) can simulate: it walks the run's
+// schedule the phased engine (chaos.go) can simulate: it walks the run's
 // epochs, applies every crash, restart and degrade the plan dictates, and
 // — under Config.ReplaceEvicted — evicts a crashed node's applications and
 // re-places them onto surviving nodes through the same interference scorer
 // the Scored placement uses. The walk is pure sequential float/int math
 // over the plan and the initial placement, so the schedule (and everything
-// simulated from it) is a deterministic function of the configuration.
+// simulated from it) is a deterministic function of the configuration. An
+// empty plan changes nothing, so its schedule is the single phase
+// [0, total).
 //
 // Re-placement is bounded on three axes, mirroring what a production
 // control plane does to avoid thrashing a degraded fleet:
@@ -107,7 +109,7 @@ func addAppLoad(st *nodeLoad, app sim.AppConfig) {
 // supervise walks the run's epochs under the resolved plan and returns the
 // phase schedule. The plan must be resolved; totalEpochs covers warm-up
 // plus the measured horizon (the supervisor is warm-up-agnostic — the
-// chaos engine weighs phases by their measured overlap).
+// phased engine weighs phases by their measured overlap).
 func supervise(plan *faults.FleetPlan, placement [][]sim.AppConfig, spec machine.Spec, replace bool, totalEpochs int) *fleetSchedule {
 	n := len(placement)
 	cur := append([][]sim.AppConfig(nil), placement...)

@@ -69,6 +69,7 @@ func runExtCluster(cfg RunConfig) (*Result, error) {
 				Seed:        cfg.Seed,
 				NewStrategy: func(int) sched.Strategy { return arqFactory() },
 				Placement:   placement,
+				SeedPerNode: true,
 				// Nodes run inline: the experiment pool already bounds
 				// concurrency across the three placements.
 				Parallel: 1,

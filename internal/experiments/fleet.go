@@ -77,8 +77,8 @@ func fleetPopulation(seed int64, nodes int) []sim.AppConfig {
 // put the same applications on a box see the identical box, and observed
 // differences are placement differences, not seed noise. CRN is also what
 // makes "simulate each unique node once per sweep" a theorem rather than a
-// heuristic: identical contents are bit-identical simulations, collapsed
-// within a fleet by DedupIdenticalNodes and across the whole sweep
+// heuristic: identical contents are bit-identical simulations, grouped
+// within a fleet by cluster.Run and across the whole sweep
 // (placements and fleet sizes) by the sweep-scoped cluster.NodeCache,
 // which replays completed node records by content-addressed key. Both
 // layers are bit-exact by construction, so stdout is byte-identical with
@@ -121,24 +121,18 @@ func runExtFleet(cfg RunConfig) (*Result, error) {
 			}
 			// A placement assigns a *set* of applications to each node;
 			// the order its internals appended them in is an artifact.
-			// Canonicalising intra-node order makes equal contents equal
-			// simulations, which the CRN seeds, the dedup classing and
-			// the sweep cache all key on.
-			placement = cluster.CanonicalizePlacement(placement)
-			seeds := make([]int64, len(placement))
-			for i := range placement {
-				seeds[i] = cluster.TemplateSeed(cfg.Seed, placement[i])
-			}
+			// Under the default seed policy Run canonicalises intra-node
+			// order and seeds each node from its contents, so equal
+			// contents are equal simulations: grouped within the fleet and
+			// replayed across the sweep by the node cache.
 			run, err := cluster.Run(cluster.Config{
-				Spec:                spec,
-				Seed:                cfg.Seed,
-				NewStrategy:         func(int) sched.Strategy { return arqFactory() },
-				Placement:           placement,
-				Parallel:            cfg.Parallel,
-				NodeSeed:            func(i int) int64 { return seeds[i] },
-				DedupIdenticalNodes: true,
-				NodeCache:           nodeCache,
-				StrategyDigest:      "arq:default",
+				Spec:           spec,
+				Seed:           cfg.Seed,
+				NewStrategy:    func(int) sched.Strategy { return arqFactory() },
+				Placement:      placement,
+				Parallel:       cfg.Parallel,
+				NodeCache:      nodeCache,
+				StrategyDigest: "arq:default",
 			}, opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s at %d nodes: %w", s.label, nodes, err)

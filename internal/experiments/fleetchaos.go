@@ -62,8 +62,8 @@ type fleetChaosCell struct {
 // mixed scenario and returns the structured cells (the table rendering and
 // the regression tests both consume them). Layout per fraction f ∈ {0, 1,
 // 5, 10}%: a persistent crash wave `crash@E+/nodes=f%` under both
-// supervisor modes; f = 0 is the fault-free baseline (legacy single-phase
-// engine, CRN node seeds) and appears once.
+// supervisor modes; f = 0 is the fault-free baseline (a one-phase
+// schedule under the same content-wise CRN seeds) and appears once.
 func fleetChaosSweep(cfg RunConfig) ([]fleetChaosCell, error) {
 	nodes := fleetChaosNodes(cfg)
 	warm, dur, crashEpoch := fleetChaosHorizons(cfg)
@@ -79,29 +79,22 @@ func fleetChaosSweep(cfg RunConfig) ([]fleetChaosCell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scored placement: %w", err)
 	}
+	// Canonical intra-node order also fixes the order in which the
+	// supervisor evicts a crashed node's applications.
 	placement = cluster.CanonicalizePlacement(placement)
-	seeds := make([]int64, len(placement))
-	for i := range placement {
-		seeds[i] = cluster.TemplateSeed(cfg.Seed, placement[i])
-	}
 
 	runCell := func(label, mode, planSpec string, replace bool) (fleetChaosCell, error) {
 		start := time.Now() //ahqlint:allow detflow wall-clock timing goes to stderr only; stdout stays deterministic
 		c := cluster.Config{
-			Spec:                spec,
-			Seed:                cfg.Seed,
-			NewStrategy:         func(int) sched.Strategy { return arqFactory() },
-			Placement:           placement,
-			Parallel:            cfg.Parallel,
-			DedupIdenticalNodes: true,
-			NodeCache:           nodeCache,
-			StrategyDigest:      "arq:default",
+			Spec:           spec,
+			Seed:           cfg.Seed,
+			NewStrategy:    func(int) sched.Strategy { return arqFactory() },
+			Placement:      placement,
+			Parallel:       cfg.Parallel,
+			NodeCache:      nodeCache,
+			StrategyDigest: "arq:default",
 		}
-		if planSpec == "" {
-			// Fault-free baseline: the legacy single-phase engine under the
-			// same content-wise CRN seeds the chaos phases use.
-			c.NodeSeed = func(i int) int64 { return seeds[i] }
-		} else {
+		if planSpec != "" {
 			plan, err := faults.ParseFleet(planSpec)
 			if err != nil {
 				return fleetChaosCell{}, fmt.Errorf("%s: %w", label, err)
