@@ -63,3 +63,27 @@ func FuzzPercentile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOrderStat checks that selection is exact: every order statistic
+// OrderStat surfaces is bit-identical to the same index of a sorted copy.
+// Bytes map onto a small value range, so duplicates are common.
+func FuzzOrderStat(f *testing.F) {
+	f.Add([]byte{10, 20, 30})
+	f.Add([]byte{5, 5, 5, 1, 5, 9, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 2})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := make([]float64, len(data))
+		for i, b := range data {
+			xs[i] = float64(b%64) / 4
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		work := make([]float64, len(xs))
+		for k := range xs {
+			copy(work, xs)
+			if got := OrderStat(work, k); got != sorted[k] {
+				t.Fatalf("OrderStat(k=%d) = %g, sorted[k] = %g (n=%d)", k, got, sorted[k], len(xs))
+			}
+		}
+	})
+}

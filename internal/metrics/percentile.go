@@ -66,6 +66,16 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	return v*(1-frac) + w*frac
 }
 
+// OrderStat returns the k-th smallest element of xs (k counted from 0),
+// reordering xs in place: on return xs[k] holds it, everything before it is
+// no larger and everything after it no smaller. The k-th order statistic is
+// one value whichever algorithm surfaces it, so the result equals sorting
+// a copy and indexing it at k. It panics unless 0 <= k < len(xs).
+func OrderStat(xs []float64, k int) float64 {
+	selectFloat(xs, k)
+	return xs[k]
+}
+
 // selectFloat partially sorts xs so that xs[k] holds the k-th smallest
 // element, everything before it is no larger and everything after it no
 // smaller (Hoare quickselect with a median-of-three pivot; small ranges

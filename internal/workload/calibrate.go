@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+
+	"ahq/internal/metrics"
 )
 
 // Calibrate derives the free parameters of an LC model from three observable
@@ -62,35 +63,54 @@ const calibrationSeed int64 = 0x5EED
 // ideal p95. The mix's mean factor is 1, so the service mean (and max load)
 // are unchanged; only the split of variance between the log-normal and the
 // content factor moves. The fit is a deterministic Monte-Carlo bisection.
+//
+// The Monte-Carlo stream does not depend on sigma, so it is drawn once: a
+// standard normal and a term factor per sample, interleaved from one
+// calibrationSeed source. Each bisection step only rescales the normals and
+// takes the 95th order statistic by selection; the draws, the products and
+// the selected order statistic are the ones a fresh stream and a full sort
+// per step would give, so the fitted sigma is the same bit for bit.
 func FitSigmaWithTerms(app *LCApp) error {
 	if app.Terms == nil {
 		return nil
 	}
+	if !(app.ServiceSigma > 0) {
+		return fmt.Errorf("workload: %s: term-mix fit needs a positive starting sigma, got %.3g",
+			app.Name, app.ServiceSigma)
+	}
 	target := app.IdealP95Ms
 
+	const n = 20000
+	rng := rand.New(rand.NewSource(calibrationSeed))
+	zs := make([]float64, n)
+	fs := make([]float64, n)
+	for i := range zs {
+		zs[i] = rng.NormFloat64()
+		fs[i] = app.Terms.Sample(rng)
+	}
+	xs := make([]float64, n)
+	k := int(0.95 * float64(n))
 	p95at := func(sigma float64) float64 {
-		rng := rand.New(rand.NewSource(calibrationSeed))
 		mu := math.Log(app.ServiceMeanMs) - sigma*sigma/2
-		const n = 20000
-		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = math.Exp(mu+sigma*rng.NormFloat64()) * app.Terms.Sample(rng)
+			xs[i] = math.Exp(mu+sigma*zs[i]) * fs[i]
 		}
-		sort.Float64s(xs)
-		return xs[int(0.95*float64(n))]
+		return metrics.OrderStat(xs, k)
 	}
 
 	if floor := p95at(0); floor > target {
 		return fmt.Errorf("workload: %s: term mix alone puts p95 at %.3g, above ideal %.3g; reduce ColdFactor",
 			app.Name, floor, target)
 	}
+	// The original sigma plus the mix undershoots when the mix is very
+	// mild; widen upward until the bracket holds the root.
 	lo, hi := 0.0, app.ServiceSigma
-	if p95at(hi) < target {
-		// The original sigma plus the mix undershoots (possible when the
-		// mix is very mild); widen upward.
-		for p95at(hi) < target && hi < 3 {
-			hi *= 1.5
+	for p95 := p95at(hi); p95 < target; p95 = p95at(hi) {
+		if hi >= 3 {
+			return fmt.Errorf("workload: %s: sigma %.3g with the term mix still puts p95 at %.3g, below ideal %.3g",
+				app.Name, hi, p95, target)
 		}
+		hi *= 1.5
 	}
 	for iter := 0; iter < 40; iter++ {
 		mid := (lo + hi) / 2

@@ -85,11 +85,12 @@ var beCatalog = map[string]BEApp{
 	},
 }
 
-// lcCache memoises the calibrated models: fitting a term mix runs a short
-// Monte-Carlo bisection, and sweeps construct applications thousands of
-// times — concurrently, since the experiment harness fans runs out over a
-// worker pool. Each name calibrates exactly once behind a sync.Once, so
-// racing callers share one model (and one read-only *TermMix) instead of
+// lcCache memoises the calibrated models: fitting a term mix runs a
+// Monte-Carlo bisection (~25 ms per mix, over one pre-drawn sample set),
+// and sweeps construct applications thousands of times — concurrently,
+// since the experiment harness fans runs out over a worker pool. Each name
+// calibrates exactly once per process behind a sync.Once, so racing
+// callers share one model (and one read-only *TermMix) instead of
 // repeating the fit.
 var lcCache sync.Map // name -> *lcCacheEntry
 

@@ -57,10 +57,11 @@ func NewTermMix(terms int, skew, coldFactor float64) (*TermMix, error) {
 	probs := make([]float64, terms)
 	raw := make([]float64, terms)
 	var z float64
+	logTerms := math.Log(float64(terms))
 	for r := 0; r < terms; r++ {
 		probs[r] = 1 / math.Pow(float64(r+1), skew)
 		z += probs[r]
-		raw[r] = 1 + (coldFactor-1)*math.Log(float64(r+1))/math.Log(float64(terms))
+		raw[r] = 1 + (coldFactor-1)*math.Log(float64(r+1))/logTerms
 	}
 	mean := 0.0
 	for r := 0; r < terms; r++ {

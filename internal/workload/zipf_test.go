@@ -86,26 +86,28 @@ func TestTermMixSampleStatistics(t *testing.T) {
 }
 
 func TestFitSigmaPreservesIdealP95(t *testing.T) {
-	app := MustLC("xapian")
-	if app.Terms == nil {
-		t.Fatal("xapian should carry a term mix")
-	}
-	// Monte-Carlo the combined service distribution and check its p95
-	// sits on the calibrated TL_i0 while the mean stays on target.
-	rng := rand.New(rand.NewSource(7))
-	const n = 100_000
-	xs := make([]float64, n)
-	sum := 0.0
-	for i := range xs {
-		xs[i] = math.Exp(app.ServiceMu()+app.ServiceSigma*rng.NormFloat64()) * app.Terms.Sample(rng)
-		sum += xs[i]
-	}
-	if mean := sum / n; math.Abs(mean-app.ServiceMeanMs)/app.ServiceMeanMs > 0.02 {
-		t.Errorf("service mean = %g, want %g", mean, app.ServiceMeanMs)
-	}
-	sort.Float64s(xs)
-	p95 := xs[int(0.95*float64(len(xs)))]
-	if math.Abs(p95-app.IdealP95Ms)/app.IdealP95Ms > 0.05 {
-		t.Errorf("combined service p95 = %g, want ~%g", p95, app.IdealP95Ms)
+	for _, name := range termMixApps {
+		app := MustLC(name)
+		if app.Terms == nil {
+			t.Fatalf("%s should carry a term mix", name)
+		}
+		// Monte-Carlo the combined service distribution and check its p95
+		// sits on the calibrated TL_i0 while the mean stays on target.
+		rng := rand.New(rand.NewSource(7))
+		const n = 100_000
+		xs := make([]float64, n)
+		sum := 0.0
+		for i := range xs {
+			xs[i] = math.Exp(app.ServiceMu()+app.ServiceSigma*rng.NormFloat64()) * app.Terms.Sample(rng)
+			sum += xs[i]
+		}
+		if mean := sum / n; math.Abs(mean-app.ServiceMeanMs)/app.ServiceMeanMs > 0.02 {
+			t.Errorf("%s: service mean = %g, want %g", name, mean, app.ServiceMeanMs)
+		}
+		sort.Float64s(xs)
+		p95 := xs[int(0.95*float64(len(xs)))]
+		if math.Abs(p95-app.IdealP95Ms)/app.IdealP95Ms > 0.05 {
+			t.Errorf("%s: combined service p95 = %g, want ~%g", name, p95, app.IdealP95Ms)
+		}
 	}
 }
