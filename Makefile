@@ -11,12 +11,15 @@
 #   bench      - run the benchmark suite and emit BENCH_<n>.json
 #                (benchmark name -> ns/op, B/op, allocs/op via cmd/benchjson)
 #   results    - regenerate every paper artifact into results/
+#   md5-quick  - check `ahqbench -all -quick` stdout against results/quick.md5
+#   md5-full   - check full-horizon `ahqbench -all` stdout against
+#                results/full.md5 (~50 s on a 2-CPU box)
 #   fuzz       - fuzz the percentile estimators
 #   clean      - remove generated results
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race bench results fuzz clean
+.PHONY: all build vet lint test test-short race bench results md5-quick md5-full fuzz clean
 
 all: build vet lint test race
 
@@ -52,6 +55,20 @@ bench:
 results:
 	mkdir -p results
 	$(GO) run ./cmd/ahqbench -all -csv results/csv | tee results/full_run.txt
+
+# The byte-identity contract: ahqbench stdout is a pure function of the
+# seed, and these pins say which function. A change that moves a printed
+# number must update the pin on purpose.
+md5_check = got=$$($(GO) run ./cmd/ahqbench -all $(1) -parallel 1 2>/dev/null | md5sum | cut -d' ' -f1); \
+	want=$$(cat $(2)); \
+	if [ "$$got" != "$$want" ]; then echo "ahqbench -all $(1) stdout md5 $$got, want $$want ($(2))"; exit 1; fi; \
+	echo "ahqbench -all $(1) stdout md5 $$got matches $(2)"
+
+md5-quick:
+	@$(call md5_check,-quick,results/quick.md5)
+
+md5-full:
+	@$(call md5_check,,results/full.md5)
 
 fuzz:
 	$(GO) test -fuzz FuzzP2VsExact -fuzztime 20s ./internal/metrics/

@@ -433,14 +433,14 @@ func BenchmarkARQDecide(b *testing.B) {
 // BenchmarkWindowPercentile measures tail extraction for a realistic
 // window volume (one epoch of img-dnn near max load).
 func BenchmarkWindowPercentile(b *testing.B) {
-	var w metrics.LatencyWindow
+	lat := make([]float64, 2500)
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
-		for i := 0; i < 2500; i++ {
-			w.Observe(float64((i*2654435761)%1000) / 100)
+		for i := range lat {
+			lat[i] = float64((i*2654435761)%1000) / 100
 		}
 		b.StartTimer()
-		w.Snapshot()
+		metrics.TailStats(lat, 0)
 	}
 }

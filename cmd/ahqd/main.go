@@ -384,6 +384,10 @@ func (d *daemon) stepEpoch() {
 	}
 	epochOK := true
 	windows := d.node.RunWindow(d.epochMs)
+	// The daemon reads only per-window telemetry, never the run-level
+	// aggregates, so drop them every epoch; otherwise the engine keeps
+	// every completed request's latency for the life of the process.
+	d.node.ResetRunStats()
 	if d.blackoutAt(d.epoch) {
 		// Whole-node telemetry blackout: the node keeps running but the
 		// controller sees nothing this epoch.

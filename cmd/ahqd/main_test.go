@@ -360,3 +360,32 @@ func TestDaemonFleetPlanRejectsOtherNodes(t *testing.T) {
 		t.Error("fleet plan naming node 3 resolved against a one-node fleet")
 	}
 }
+
+// TestDaemonKeepsNoRunLatencies is the regression test for the daemon's
+// unbounded growth: it reads only per-window telemetry, so the engine's
+// run-level latency accumulator must not outlive an epoch. With nothing
+// retained and an empty queue, RunP95 has no sample to report and is NaN;
+// a daemon that never resets would report the p95 of every request it
+// ever completed.
+func TestDaemonKeepsNoRunLatencies(t *testing.T) {
+	d, err := newDaemon("unmanaged", "xapian:0.2,moses:0.2+stream", 1, 500, 0.8, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i := 0; i < 20; i++ {
+		d.stepEpoch()
+		for _, app := range []string{"xapian", "moses"} {
+			if d.engine.QueueLen(app) != 0 {
+				continue // RunP95 would report the oldest waiting request's age
+			}
+			checked++
+			if p := d.engine.RunP95(app); !math.IsNaN(p) {
+				t.Fatalf("epoch %d: %s retains run-level latencies across epochs (RunP95 = %v)", i, app, p)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no epoch ended with an empty queue; the check never ran")
+	}
+}

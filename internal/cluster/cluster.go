@@ -453,6 +453,9 @@ func simulateUnit(cfg *Config, u simUnit) (classOut, classSolveStats, error) {
 	if err != nil {
 		return classOut{}, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
 	}
+	// The record below copies out everything it keeps, so the engine's
+	// buffers can go to the next unit once the solve counters are read.
+	defer engine.Release()
 	var drive core.Engine = engine
 	if !u.blackout.Empty() {
 		drive = faults.NewInjector(u.blackout).Engine(engine)

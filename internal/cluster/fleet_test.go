@@ -55,6 +55,27 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestFleetEngineReuseAcrossUnits: every simulated unit releases its
+// engine's buffers for the next unit on any worker to draw. Runs at
+// Parallel 4, whose workers recycle each other's buffers (the second with
+// the pool already warm), must equal the sequential run exactly; under
+// -race this also checks the hand-off between workers.
+func TestFleetEngineReuseAcrossUnits(t *testing.T) {
+	want, err := Run(fleetConfig(1), quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := Run(fleetConfig(4), quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(deterministicView(want), deterministicView(got)) {
+			t.Fatalf("pass %d: fleet result at Parallel 4 differs from Parallel 1", pass)
+		}
+	}
+}
+
 func TestFleetDeterministicAcrossRuns(t *testing.T) {
 	a, err := Run(fleetConfig(3), quickOpts())
 	if err != nil {

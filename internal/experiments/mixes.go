@@ -88,7 +88,9 @@ func runMix(cfg RunConfig, spec machine.Spec, apps []sim.AppConfig, f StrategyFa
 		warm, dur := horizons(cfg)
 		opts.WarmupMs, opts.DurationMs = warm, dur
 	}
-	return core.Run(engine, f.New(cfg.Seed), opts)
+	res, err := core.Run(engine, f.New(cfg.Seed), opts)
+	engine.Release()
+	return res, err
 }
 
 // standardMix is the paper's primary collocation: Xapian (variable load),

@@ -126,13 +126,16 @@ func TestP2DuplicateHeavyInputs(t *testing.T) {
 	})
 }
 
-// TestPercentileInPlaceMatchesSortedReference pins the quickselect path
+// TestPercentileInPlaceMatchesSortedReference pins the selection path
 // against the sort-based reference bit for bit: both surface exact order
 // statistics, so interpolation sees identical inputs.
 func TestPercentileInPlaceMatchesSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(400)
+		if trial%2 == 1 {
+			n += selectSampleMin + rng.Intn(3000) // the sampling branch
+		}
 		xs := make([]float64, n)
 		for i := range xs {
 			switch trial % 3 {
@@ -151,7 +154,7 @@ func TestPercentileInPlaceMatchesSortedReference(t *testing.T) {
 			sort.Float64s(ref)
 			want := PercentileSorted(ref, p)
 			if got != want {
-				t.Fatalf("trial %d n=%d p=%v: quickselect %v vs sorted %v", trial, n, p, got, want)
+				t.Fatalf("trial %d n=%d p=%v: selection %v vs sorted %v", trial, n, p, got, want)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import "math"
 // interpolation between closest ranks (the same convention as numpy's
 // default). It returns NaN for an empty slice. The input is not modified.
 //
-// The quantile is found by quickselect rather than a full sort: the two
+// The quantile is found by selection rather than a full sort: the two
 // closest-rank order statistics are exact sample values whichever algorithm
 // surfaces them, so the result is bit-identical to sorting first, at O(n)
 // instead of O(n log n) — run-level latency streams reach tens of thousands
@@ -54,7 +54,7 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	if lo == hi {
 		return v
 	}
-	// The next order statistic is the minimum of the suffix quickselect
+	// The next order statistic is the minimum of the suffix the selection
 	// left above position lo.
 	w := xs[lo+1]
 	for _, x := range xs[lo+2:] {
@@ -78,41 +78,71 @@ func OrderStat(xs []float64, k int) float64 {
 
 // selectFloat partially sorts xs so that xs[k] holds the k-th smallest
 // element, everything before it is no larger and everything after it no
-// smaller (Hoare quickselect with a median-of-three pivot; small ranges
-// finish by insertion sort).
+// smaller. It is Floyd and Rivest's SELECT (CACM 18(3), 1975): on ranges
+// longer than selectSampleMin it first selects recursively inside a small
+// sample window around k, so the pivot it partitions on is already close
+// to the k-th value and each pass discards nearly the whole range — about
+// n + min(k, n-k) comparisons instead of quickselect's ~2n–3n.
 func selectFloat(xs []float64, k int) {
-	lo, hi := 0, len(xs)-1
-	for {
-		if hi-lo < 16 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-					xs[j], xs[j-1] = xs[j-1], xs[j]
-				}
+	floydRivest(xs, 0, len(xs)-1, k)
+}
+
+// selectSampleMin is the range length above which floydRivest narrows the
+// pivot by sampling; below it a plain partition on xs[k] is cheaper. 600
+// is the constant of the original algorithm.
+const selectSampleMin = 600
+
+// floydRivest selects the k-th smallest element of xs[left:right+1] into
+// xs[k] (see selectFloat).
+func floydRivest(xs []float64, left, right, k int) {
+	for right > left {
+		if right-left > selectSampleMin {
+			// Select inside a window of about n^(2/3) elements whose
+			// expected rank range straddles k; its k-th element then
+			// pivots the partition below.
+			n := float64(right - left + 1)
+			i := float64(k - left + 1)
+			z := math.Log(n)
+			s := 0.5 * math.Exp(2*z/3)
+			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
+			if i < n/2 {
+				sd = -sd
 			}
-			return
+			newLeft := max(left, int(float64(k)-i*s/n+sd))
+			newRight := min(right, int(float64(k)+(n-i)*s/n+sd))
+			floydRivest(xs, newLeft, newRight, k)
 		}
-		p := median3(xs[lo], xs[(lo+hi)/2], xs[hi])
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < p {
+		t := xs[k]
+		i, j := left, right
+		xs[left], xs[k] = xs[k], xs[left]
+		if xs[right] > t {
+			xs[right], xs[left] = xs[left], xs[right]
+		}
+		for i < j {
+			xs[i], xs[j] = xs[j], xs[i]
+			i++
+			j--
+			for xs[i] < t {
 				i++
 			}
-			for xs[j] > p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
+			for xs[j] > t {
 				j--
 			}
 		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return
+		// The pivot value t now sits at left (when xs[right] exceeded it)
+		// or at right, and xs[left] <= t either way; so "xs[left] is not
+		// below t" is the original algorithm's "xs[left] = t" test.
+		if !(xs[left] < t) {
+			xs[left], xs[j] = xs[j], xs[left]
+		} else {
+			j++
+			xs[j], xs[right] = xs[right], xs[j]
+		}
+		if j <= k {
+			left = j + 1
+		}
+		if k <= j {
+			right = j - 1
 		}
 	}
 }

@@ -121,3 +121,42 @@ func TestMeanAndMax(t *testing.T) {
 		t.Errorf("Max = %g", got)
 	}
 }
+
+// TestOrderStatPartitions pins selectFloat's contract on ranges long enough
+// to take the sampling branch: xs[k] is the k-th value of a sorted copy,
+// nothing before it is larger and nothing after it smaller — including on
+// sorted, reversed and duplicate-heavy inputs.
+func TestOrderStatPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{selectSampleMin + 2, 1000, 5000} {
+		for shape := 0; shape < 4; shape++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch shape {
+				case 0:
+					xs[i] = rng.ExpFloat64()
+				case 1:
+					xs[i] = float64(rng.Intn(3))
+				case 2:
+					xs[i] = float64(i)
+				default:
+					xs[i] = float64(n - i)
+				}
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, k := range []int{0, 1, n / 3, n / 2, int(0.95 * float64(n-1)), n - 2, n - 1} {
+				work := append([]float64(nil), xs...)
+				got := OrderStat(work, k)
+				if got != sorted[k] {
+					t.Fatalf("n=%d shape=%d k=%d: OrderStat %v, sorted %v", n, shape, k, got, sorted[k])
+				}
+				for i, v := range work {
+					if (i < k && v > got) || (i > k && v < got) {
+						t.Fatalf("n=%d shape=%d k=%d: xs[%d]=%v breaks the partition around %v", n, shape, k, i, v, got)
+					}
+				}
+			}
+		}
+	}
+}

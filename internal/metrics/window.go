@@ -1,32 +1,10 @@
 package metrics
 
-import "math"
-
-// LatencyWindow accumulates request latencies over one monitoring interval
-// (500 ms in the paper) and yields the window's tail statistics. Snapshot
-// resets it for the next window.
-type LatencyWindow struct {
-	samples []float64
-	dropped int
-}
-
-// Observe records one completed request's latency in milliseconds.
-func (w *LatencyWindow) Observe(latencyMs float64) {
-	//ahqlint:allow hotpath amortized: the buffer grows to the steady window size once, then Reset reuses it
-	w.samples = append(w.samples, latencyMs)
-}
-
-// Drop records one request rejected by client-side backpressure.
-func (w *LatencyWindow) Drop() { w.dropped++ }
-
-// Len returns the number of latencies recorded in the current window.
-func (w *LatencyWindow) Len() int { return len(w.samples) }
-
 // WindowStats summarises one monitoring interval for one application.
 type WindowStats struct {
-	// P50, P95, P99 and Mean are latency percentiles in milliseconds over
-	// the window; NaN when no request completed.
-	P50, P95, P99, Mean float64
+	// P95 and Mean are latency statistics in milliseconds over the window;
+	// NaN when no request completed.
+	P95, Mean float64
 	// Completed is the number of requests that finished in the window.
 	Completed int
 	// Dropped is the number of requests rejected by load-generator
@@ -34,50 +12,15 @@ type WindowStats struct {
 	Dropped int
 }
 
-// Snapshot computes the window statistics and resets the window.
-func (w *LatencyWindow) Snapshot() WindowStats {
-	s := WindowStats{Completed: len(w.samples), Dropped: w.dropped}
-	if len(w.samples) == 0 {
-		s.P50, s.P95, s.P99, s.Mean = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-	} else {
-		sorted := w.samples
-		insertionOrQuick(sorted)
-		s.P50 = PercentileSorted(sorted, 0.50)
-		s.P95 = PercentileSorted(sorted, 0.95)
-		s.P99 = PercentileSorted(sorted, 0.99)
-		sum := 0.0
-		for _, v := range sorted {
-			sum += v
-		}
-		s.Mean = sum / float64(len(sorted))
-	}
-	w.samples = w.samples[:0]
-	w.dropped = 0
-	return s
-}
-
-// TailSnapshot computes the window statistics the engine's telemetry
-// actually consumes — the p95 tail, the mean, and the counts — and resets
-// the window. The tail comes from one quickselect pass instead of the full
-// sort Snapshot pays, and the mean is summed in observation order before
-// the samples are reordered; P50 and P99 are NaN. The p95 it returns is
-// bit-identical to Snapshot's.
-func (w *LatencyWindow) TailSnapshot() WindowStats {
-	s := WindowStats{Completed: len(w.samples), Dropped: w.dropped}
-	s.P50, s.P99 = math.NaN(), math.NaN()
-	if len(w.samples) == 0 {
-		s.P95, s.Mean = math.NaN(), math.NaN()
-	} else {
-		sum := 0.0
-		for _, v := range w.samples {
-			sum += v
-		}
-		s.Mean = sum / float64(len(w.samples))
-		s.P95 = PercentileInPlace(w.samples, 0.95)
-	}
-	w.samples = w.samples[:0]
-	w.dropped = 0
-	return s
+// TailStats computes one monitoring interval's statistics from the
+// latencies (in milliseconds) of the requests it completed and the count
+// it dropped; P95 and Mean are NaN when none completed. The mean is summed
+// in observation order first; the p95 then comes from one selection pass,
+// which reorders lat in place (its multiset is unchanged, so any later
+// percentile over it is unaffected).
+func TailStats(lat []float64, dropped int) WindowStats {
+	mean := Mean(lat)
+	return WindowStats{P95: PercentileInPlace(lat, 0.95), Mean: mean, Completed: len(lat), Dropped: dropped}
 }
 
 // WorkWindow accumulates best-effort work (core-milliseconds of effective
@@ -94,58 +37,4 @@ func (w *WorkWindow) Snapshot() float64 {
 	v := w.workMs
 	w.workMs = 0
 	return v
-}
-
-// insertionOrQuick sorts in place; windows are typically a few hundred to a
-// few thousand samples, where the plain-comparison quicksort below beats
-// the stdlib's generic sort (whose comparator pays a NaN check per
-// compare; latencies are never NaN), and tiny windows are common in
-// overload, so avoid even that overhead for them.
-func insertionOrQuick(xs []float64) {
-	if len(xs) <= 32 {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-		return
-	}
-	quickSort(xs)
-}
-
-func quickSort(xs []float64) {
-	if len(xs) <= 32 {
-		insertionOrQuick(xs)
-		return
-	}
-	pivot := median3(xs[0], xs[len(xs)/2], xs[len(xs)-1])
-	lo, hi := 0, len(xs)-1
-	for lo <= hi {
-		for xs[lo] < pivot {
-			lo++
-		}
-		for xs[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			xs[lo], xs[hi] = xs[hi], xs[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSort(xs[:hi+1])
-	quickSort(xs[lo:])
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }

@@ -8,47 +8,47 @@ import (
 	"testing/quick"
 )
 
-func TestLatencyWindowSnapshot(t *testing.T) {
-	var w LatencyWindow
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		w.Observe(v)
-	}
-	w.Drop()
-	w.Drop()
-	if w.Len() != 5 {
-		t.Errorf("Len = %d", w.Len())
-	}
-	st := w.Snapshot()
+func TestTailStats(t *testing.T) {
+	lat := []float64{5, 1, 3, 2, 4}
+	st := TailStats(lat, 2)
 	if st.Completed != 5 || st.Dropped != 2 {
 		t.Errorf("Completed=%d Dropped=%d", st.Completed, st.Dropped)
 	}
-	if st.P50 != 3 || st.Mean != 3 {
-		t.Errorf("P50=%g Mean=%g", st.P50, st.Mean)
+	if st.Mean != 3 {
+		t.Errorf("Mean=%g", st.Mean)
 	}
 	if st.P95 < 4.5 || st.P95 > 5 {
 		t.Errorf("P95 = %g", st.P95)
 	}
-	// Snapshot resets.
-	st2 := w.Snapshot()
-	if st2.Completed != 0 || !math.IsNaN(st2.P95) {
-		t.Errorf("window not reset: %+v", st2)
+	// The selection reorders in place but keeps the multiset.
+	sorted := append([]float64(nil), lat...)
+	sort.Float64s(sorted)
+	for i, v := range []float64{1, 2, 3, 4, 5} {
+		if sorted[i] != v {
+			t.Fatalf("multiset changed: %v", lat)
+		}
+	}
+	empty := TailStats(nil, 3)
+	if empty.Completed != 0 || empty.Dropped != 3 || !math.IsNaN(empty.P95) || !math.IsNaN(empty.Mean) {
+		t.Errorf("empty window: %+v", empty)
 	}
 }
 
-func TestLatencyWindowSortMatchesStdlib(t *testing.T) {
+// TestTailStatsMatchesSortedReference pins TailStats bit for bit against a
+// sorted copy (p95) and an observation-order sum (mean).
+func TestTailStatsMatchesSortedReference(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%2000 + 1
-		var w LatencyWindow
 		xs := make([]float64, n)
+		sum := 0.0
 		for i := range xs {
 			xs[i] = rng.ExpFloat64() * 10
-			w.Observe(xs[i])
+			sum += xs[i]
 		}
-		st := w.Snapshot()
+		st := TailStats(append([]float64(nil), xs...), 0)
 		sort.Float64s(xs)
-		want := PercentileSorted(xs, 0.95)
-		return math.Abs(st.P95-want) < 1e-9
+		return st.P95 == PercentileSorted(xs, 0.95) && st.Mean == sum/float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

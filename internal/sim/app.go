@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"ahq/internal/metrics"
 	"ahq/internal/trace"
@@ -97,13 +98,16 @@ type appState struct {
 	queue   []request
 	qHead   int
 	offered int // arrivals this window, including drops
-	latWin  metrics.LatencyWindow
+	dropped int // arrivals this window rejected by the client queue cap
+	// lat holds the latency of every request completed since the last
+	// Engine.ResetRunStats, in completion order; the open monitoring
+	// window is lat[winStart:]. One buffer serves both the per-window
+	// tail (snapshot) and the run-level p95 (RunP95).
+	lat      []float64
+	winStart int
 	// nextIssue holds each closed-loop user's next request time (empty
 	// in open-loop mode).
 	nextIssue []float64
-	// runLat accumulates latencies across windows for run-level
-	// percentiles (reset by Engine.ResetRunStats).
-	runLat []float64
 
 	// BE state.
 	workWin metrics.WorkWindow
@@ -154,10 +158,6 @@ type appState struct {
 	// draw across ticks (see poissonDraw).
 	pLambdaBits   uint64
 	pExpNegLambda float64
-
-	// keptBuf is dispatchHeap's scratch for requests served partially this
-	// tick, reused across ticks.
-	keptBuf []request
 }
 
 // pending returns the requests waiting for service, oldest dispatch
@@ -167,12 +167,34 @@ func (a *appState) pending() []request { return a.queue[a.qHead:] }
 // pendingLen returns how many requests are waiting for service.
 func (a *appState) pendingLen() int { return len(a.queue) - a.qHead }
 
+// appBufs are the per-application buffers an engine returns on Release
+// for the next engine to reuse: the random source (whose 4.9 KB state a
+// fresh rand.NewSource would allocate) and the latency and request
+// buffers grown over a run.
+type appBufs struct {
+	rng   *rand.Rand
+	lat   []float64
+	queue []request
+}
+
+// appBufPool recycles appBufs across engines. Only capacity is reused:
+// newAppState re-seeds the source and empties both slices, so an engine
+// built from pooled buffers is indistinguishable from a fresh one.
+var appBufPool sync.Pool
+
 func newAppState(cfg AppConfig, seed int64) *appState {
 	a := &appState{
 		cfg:   cfg,
 		name:  cfg.Name(),
 		class: cfg.Class(),
-		rng:   rand.New(rand.NewSource(seed)),
+	}
+	if b, ok := appBufPool.Get().(*appBufs); ok {
+		// Seed resets the source to exactly the state
+		// rand.New(rand.NewSource(seed)) starts in.
+		b.rng.Seed(seed)
+		a.rng, a.lat, a.queue = b.rng, b.lat[:0], b.queue[:0]
+	} else {
+		a.rng = rand.New(rand.NewSource(seed))
 	}
 	if cfg.LC != nil {
 		a.svcMu = cfg.LC.ServiceMu()
@@ -328,7 +350,7 @@ func (a *appState) arrive(nowMs, dtMs float64) {
 	a.offered += n
 	for i := 0; i < n; i++ {
 		if a.pendingLen() >= lc.ClientQueueCap {
-			a.latWin.Drop()
+			a.dropped++
 			continue
 		}
 		at := nowMs + a.rng.Float64()*dtMs

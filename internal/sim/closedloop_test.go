@@ -51,12 +51,12 @@ func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
 	for e.NowMs() < 23_000 {
 		e.RunWindow(500)
 	}
-	n := len(e.apps[0].runLat)
+	n := len(e.apps[0].lat)
 	if n == 0 {
 		t.Fatal("no completions")
 	}
 	meanLat := 0.0
-	for _, l := range e.apps[0].runLat {
+	for _, l := range e.apps[0].lat {
 		meanLat += l
 	}
 	meanLat /= float64(n)
@@ -99,7 +99,7 @@ func TestClosedLoopMoreUsersMoreLoad(t *testing.T) {
 		for e.NowMs() < 10_000 {
 			e.RunWindow(500)
 		}
-		return float64(len(e.apps[0].runLat)) / 8.0
+		return float64(len(e.apps[0].lat)) / 8.0
 	}
 	few, many := qps(2), qps(16)
 	if many <= few*2 {

@@ -58,10 +58,10 @@ func (a *appState) dispatchHeap(nowMs, tickEnd float64) {
 		h[i] = int32(i)
 	}
 	q := a.queue
-	kept := a.keptBuf[:0]
+	w := a.qHead // carry cursor: carried requests are q[a.qHead:w]
 	qi := a.qHead
 	for ; qi < len(q); qi++ {
-		req := q[qi]
+		req := &q[qi]
 		top := h[0]
 		if clocks[top] >= tickEnd {
 			// Every slot is booked past the tick (start can only grow with
@@ -79,7 +79,7 @@ func (a *appState) dispatchHeap(nowMs, tickEnd float64) {
 		if start >= tickEnd {
 			// This request cannot start before the tick ends even on the
 			// earliest slot; wait it out.
-			kept = append(kept, req) //ahqlint:allow hotpath amortized: keptBuf reuses its backing array across ticks
+			w = carry(q, w, qi)
 			continue
 		}
 		rate := rIso
@@ -94,17 +94,36 @@ func (a *appState) dispatchHeap(nowMs, tickEnd float64) {
 		} else {
 			req.remainMs -= can
 			clocks[top] = tickEnd
-			kept = append(kept, req) //ahqlint:allow hotpath amortized: keptBuf reuses its backing array across ticks
+			w = carry(q, w, qi)
 		}
 		siftDown(h, clocks)
 	}
-	// Write the carried requests back right-aligned against the untouched
-	// tail: the pending queue becomes kept ++ q[qi:] by advancing qHead,
-	// without moving the tail. When nothing was carried, this is free.
-	newHead := qi - len(kept)
-	copy(q[newHead:qi], kept)
+	a.closeGap(w, qi)
+}
+
+// carry keeps q[qi] pending: it moves the request down to the carry cursor
+// w (a no-op until a completion has opened a gap behind qi) and returns the
+// advanced cursor.
+func carry(q []request, w, qi int) int {
+	if w != qi {
+		q[w] = q[qi]
+	}
+	return w + 1
+}
+
+// closeGap finishes a dispatch pass that stopped at qi with the carried
+// requests in queue[qHead:w]: the pending queue becomes those requests
+// followed by the untouched tail queue[qi:]. The carried requests move up
+// against the tail with one overlapping copy — needed only when a
+// completion opened a gap (w < qi) — and qHead advances past the
+// completions, so the tail itself never moves.
+func (a *appState) closeGap(w, qi int) {
+	if w == qi {
+		return // nothing completed: the pending queue is already contiguous
+	}
+	newHead := qi - (w - a.qHead)
+	copy(a.queue[newHead:qi], a.queue[a.qHead:w])
 	a.qHead = newHead
-	a.keptBuf = kept[:0]
 }
 
 // smallSlotCount is the widest slot array served by dispatchSmall's linear
@@ -125,7 +144,7 @@ func (a *appState) dispatchSmall(nowMs, tickEnd float64, usable, isoSlots int, r
 		clocks[i] = nowMs
 	}
 	q := a.queue
-	kept := a.keptBuf[:0]
+	w := a.qHead // carry cursor, as in dispatchHeap
 	qi := a.qHead
 	for ; qi < len(q); qi++ {
 		top := 0
@@ -149,7 +168,7 @@ func (a *appState) dispatchSmall(nowMs, tickEnd float64, usable, isoSlots int, r
 			start = req.notBefore
 		}
 		if start >= tickEnd {
-			kept = append(kept, *req) //ahqlint:allow hotpath amortized: keptBuf reuses its backing array across ticks
+			w = carry(q, w, qi)
 			continue
 		}
 		rate := rIso
@@ -160,18 +179,14 @@ func (a *appState) dispatchSmall(nowMs, tickEnd float64, usable, isoSlots int, r
 		if req.remainMs <= can {
 			done := start + req.remainMs/rate
 			clocks[top] = done
-			a.complete(*req, done)
+			a.complete(req, done)
 		} else {
-			r := *req
-			r.remainMs -= can
+			req.remainMs -= can
 			clocks[top] = tickEnd
-			kept = append(kept, r) //ahqlint:allow hotpath amortized: keptBuf reuses its backing array across ticks
+			w = carry(q, w, qi)
 		}
 	}
-	newHead := qi - len(kept)
-	copy(q[newHead:qi], kept)
-	a.qHead = newHead
-	a.keptBuf = kept[:0]
+	a.closeGap(w, qi)
 }
 
 // siftDown restores the heap property after the root slot's clock grew.
@@ -210,10 +225,9 @@ func slotLess(x, y int32, clocks []float64) bool {
 
 // complete records one finished request: latency bookkeeping plus the
 // closed-loop user's next-issue reschedule.
-func (a *appState) complete(req request, done float64) {
-	lat := done - req.arrivalMs
-	a.latWin.Observe(lat)
-	a.runLat = append(a.runLat, lat) //ahqlint:allow hotpath amortized: the run-level accumulator grows toward the run length once
+func (a *appState) complete(req *request, done float64) {
+	//ahqlint:allow hotpath amortized: lat grows toward the run length once, then is reused (and pooled across engines by Release)
+	a.lat = append(a.lat, done-req.arrivalMs)
 	if req.user >= 0 && req.user < len(a.nextIssue) {
 		// Closed loop: the user thinks, then reissues.
 		a.nextIssue[req.user] = done + a.rng.ExpFloat64()*a.thinkMean()
@@ -271,7 +285,7 @@ func (a *appState) dispatchLinear(nowMs, tickEnd float64) {
 		if req.remainMs <= can {
 			done := start + req.remainMs/rates[slot]
 			clocks[slot] = done
-			a.complete(req, done)
+			a.complete(&req, done)
 			continue
 		}
 		req.remainMs -= can

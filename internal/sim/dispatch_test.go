@@ -21,6 +21,9 @@ func (a *appState) deriveRates() {
 // two calls with identically seeded sources produce identical states.
 func dispatchApp(rng *rand.Rand, nowMs float64) *appState {
 	lc := workload.MustLC("xapian")
+	// Up to 12 worker threads, so both dispatchSmall (<= smallSlotCount
+	// usable slots) and the heap proper are exercised.
+	lc.Threads = 1 + rng.Intn(12)
 	a := newAppState(AppConfig{LC: &lc}, 1)
 	// Randomize the slot configuration across the interesting shapes:
 	// iso-only (shared share zero), shared-only, mixed, and more isolated
@@ -47,42 +50,115 @@ func dispatchApp(rng *rand.Rand, nowMs float64) *appState {
 	return a
 }
 
+// Queue shapes for TestHeapDispatchMatchesLinear beyond dispatchApp's
+// random one.
+const (
+	shapeRandom = iota
+	// shapeInterleaved alternates requests that finish within the tick with
+	// ones that cannot, so carries land behind completions and the in-place
+	// carry has to move them (and close the gap at the end).
+	shapeInterleaved
+	// shapeAllCarried holds every request past the tick, so nothing
+	// completes and nothing moves.
+	shapeAllCarried
+)
+
+// shapeQueue rewrites a's queue into the given shape.
+func shapeQueue(a *appState, shape int, nowMs float64) {
+	for i := range a.queue {
+		r := &a.queue[i]
+		switch shape {
+		case shapeInterleaved:
+			r.arrivalMs, r.notBefore = nowMs, nowMs
+			r.remainMs = 1e-3
+			if i%2 == 1 {
+				r.remainMs = 50
+			}
+		case shapeAllCarried:
+			r.notBefore = nowMs + 1.5
+		}
+	}
+}
+
 // TestHeapDispatchMatchesLinear drives the heap dispatcher and the original
-// linear scan over randomized queues and slot configurations and demands
-// identical completion sequences (latency by latency, bit for bit) and
-// identical leftover queues.
+// linear scan over randomized queues and slot configurations for several
+// consecutive ticks (with fresh arrivals in between) and demands identical
+// completion sequences (latency by latency, bit for bit) and identical
+// pending queues after every tick. The heap dispatchers consume completed
+// requests by advancing qHead, so qHead must advance by exactly the tick's
+// completions. The interleaved shape exercises the carry-move path, the
+// all-carried shape the path where nothing moves.
 func TestHeapDispatchMatchesLinear(t *testing.T) {
+	var moved, stayed int
 	for trial := 0; trial < 2000; trial++ {
 		seed := int64(trial + 1)
 		nowMs := float64(trial % 7)
+		shape := trial % 3
 		h := dispatchApp(rand.New(rand.NewSource(seed)), nowMs)
 		l := dispatchApp(rand.New(rand.NewSource(seed)), nowMs)
-		tickEnd := nowMs + 1
+		shapeQueue(h, shape, nowMs)
+		shapeQueue(l, shape, nowMs)
+		arrivals := rand.New(rand.NewSource(-seed))
+		for tick := 0; tick < 4; tick++ {
+			now := nowMs + float64(tick)
+			tickEnd := now + 1
+			head, done, pending := h.qHead, len(l.lat), l.pendingLen()
 
-		h.dispatchHeap(nowMs, tickEnd)
-		l.dispatchLinear(nowMs, tickEnd)
+			h.dispatchHeap(now, tickEnd)
+			l.dispatchLinear(now, tickEnd)
 
-		if len(h.runLat) != len(l.runLat) {
-			t.Fatalf("trial %d: heap completed %d requests, linear %d",
-				trial, len(h.runLat), len(l.runLat))
-		}
-		for i := range h.runLat {
-			if h.runLat[i] != l.runLat[i] {
-				t.Fatalf("trial %d: completion %d latency %v (heap) != %v (linear)",
-					trial, i, h.runLat[i], l.runLat[i])
+			if len(h.lat) != len(l.lat) {
+				t.Fatalf("trial %d tick %d: heap completed %d requests, linear %d",
+					trial, tick, len(h.lat), len(l.lat))
+			}
+			for i := range h.lat {
+				if h.lat[i] != l.lat[i] {
+					t.Fatalf("trial %d tick %d: completion %d latency %v (heap) != %v (linear)",
+						trial, tick, i, h.lat[i], l.lat[i])
+				}
+			}
+			hq, lq := h.pending(), l.pending()
+			if len(hq) != len(lq) {
+				t.Fatalf("trial %d tick %d: heap kept %d requests, linear kept %d",
+					trial, tick, len(hq), len(lq))
+			}
+			for i := range hq {
+				if hq[i] != lq[i] {
+					t.Fatalf("trial %d tick %d: kept request %d differs: %+v (heap) != %+v (linear)",
+						trial, tick, i, hq[i], lq[i])
+				}
+			}
+			completed := len(l.lat) - done
+			if h.qHead != head+completed {
+				t.Fatalf("trial %d tick %d: qHead %d, want %d + %d completions",
+					trial, tick, h.qHead, head, completed)
+			}
+			if tick == 0 {
+				switch {
+				case shape == shapeInterleaved && completed > 0 && len(lq) > 0:
+					moved++
+				case shape == shapeAllCarried:
+					if completed != 0 || len(lq) != pending {
+						t.Fatalf("trial %d: all-carried queue completed %d of %d", trial, completed, pending)
+					}
+					stayed++
+				}
+			}
+			// Fresh arrivals behind the carried requests.
+			for n := arrivals.Intn(4); n > 0; n-- {
+				r := request{
+					arrivalMs: tickEnd - arrivals.Float64(),
+					remainMs:  0.05 + 2.5*arrivals.Float64(),
+					user:      -1,
+				}
+				r.notBefore = r.arrivalMs + 0.4*arrivals.Float64()
+				h.queue = append(h.queue, r)
+				l.queue = append(l.queue, r)
 			}
 		}
-		hq, lq := h.pending(), l.pending()
-		if len(hq) != len(lq) {
-			t.Fatalf("trial %d: heap kept %d requests, linear kept %d",
-				trial, len(hq), len(lq))
-		}
-		for i := range hq {
-			if hq[i] != lq[i] {
-				t.Fatalf("trial %d: kept request %d differs: %+v (heap) != %+v (linear)",
-					trial, i, hq[i], lq[i])
-			}
-		}
+	}
+	if moved < 100 || stayed < 100 {
+		t.Fatalf("shape coverage too thin: %d interleaved and %d all-carried trials", moved, stayed)
 	}
 }
 
@@ -217,13 +293,13 @@ func TestHeapDispatchNotBeforeStraddlesTick(t *testing.T) {
 		l.dispatchLinear(0, 1)
 		l.dispatchLinear(1, 2)
 
-		if len(h.runLat) != len(l.runLat) {
-			t.Fatalf("trial %d: heap completed %d, linear %d", trial, len(h.runLat), len(l.runLat))
+		if len(h.lat) != len(l.lat) {
+			t.Fatalf("trial %d: heap completed %d, linear %d", trial, len(h.lat), len(l.lat))
 		}
-		for i := range h.runLat {
-			if h.runLat[i] != l.runLat[i] {
+		for i := range h.lat {
+			if h.lat[i] != l.lat[i] {
 				t.Fatalf("trial %d: completion %d latency %v (heap) != %v (linear)",
-					trial, i, h.runLat[i], l.runLat[i])
+					trial, i, h.lat[i], l.lat[i])
 			}
 		}
 		hq, lq := h.pending(), l.pending()

@@ -418,7 +418,8 @@ func (e *Engine) snapshot(elapsedMs float64) []sched.AppWindow {
 	for _, a := range e.apps {
 		w := sched.AppWindow{Spec: e.specOf(a)}
 		if a.class == workload.LC {
-			st := a.latWin.TailSnapshot()
+			st := metrics.TailStats(a.lat[a.winStart:], a.dropped)
+			a.winStart, a.dropped = len(a.lat), 0
 			w.P95Ms, w.MeanMs = st.P95, st.Mean
 			w.Completed, w.Dropped = st.Completed, st.Dropped
 			w.QueueLen = a.pendingLen()
@@ -478,10 +479,13 @@ func (e *Engine) QueueLen(app string) int {
 }
 
 // ResetRunStats clears the cumulative run-level accumulators; the
-// controller calls it when the warm-up period ends.
+// controller calls it when the warm-up period ends. The open window's
+// latencies are kept (slid to the front of the buffer): they still belong
+// to the next RunWindow observation.
 func (e *Engine) ResetRunStats() {
 	for _, a := range e.apps {
-		a.runLat = a.runLat[:0]
+		a.lat = a.lat[:copy(a.lat, a.lat[a.winStart:])]
+		a.winStart = 0
 		a.runWork = 0
 		a.runMs = 0
 	}
@@ -497,13 +501,31 @@ func (e *Engine) RunP95(app string) float64 {
 		return math.NaN()
 	}
 	a := e.apps[i]
-	if len(a.runLat) == 0 {
+	if len(a.lat) == 0 {
 		return a.oldestAgeMs(e.nowMs)
 	}
-	// In-place selection reorders runLat but preserves its multiset, so
-	// repeated RunP95 calls (and any later percentile) are unaffected —
-	// and the run-length copy the out-of-place form would make is not.
-	return metrics.PercentileInPlace(a.runLat, 0.95)
+	if a.winStart == len(a.lat) {
+		// No window is open (always the case between RunWindow calls):
+		// in-place selection reorders lat but preserves its multiset, so
+		// repeated RunP95 calls (and any later percentile) are unaffected,
+		// and the run-length copy the out-of-place form would make is not.
+		return metrics.PercentileInPlace(a.lat, 0.95)
+	}
+	// Select on a copy so the open window's latencies stay in completion
+	// order and its mean keeps its summation order.
+	return metrics.Percentile(a.lat, 0.95)
+}
+
+// Release returns the engine's per-application buffers (random sources,
+// latency and request buffers) to a pool that later engines draw from, so
+// a sweep that builds one engine per node does not re-allocate them. The
+// engine must not be used after Release; call it once the last result has
+// been read.
+func (e *Engine) Release() {
+	for _, a := range e.apps {
+		appBufPool.Put(&appBufs{rng: a.rng, lat: a.lat[:0], queue: a.queue[:0]})
+	}
+	e.apps = nil
 }
 
 // RunIPC returns the average IPC over the period since the last

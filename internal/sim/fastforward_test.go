@@ -124,12 +124,12 @@ func TestSkipAheadMatchesNaiveOnRandomTraces(t *testing.T) {
 		}
 		for i := range fast.apps {
 			fa, na := fast.apps[i], naive.apps[i]
-			if len(fa.runLat) != len(na.runLat) {
-				t.Fatalf("trial %d app %d: %d vs %d completions", trial, i, len(fa.runLat), len(na.runLat))
+			if len(fa.lat) != len(na.lat) {
+				t.Fatalf("trial %d app %d: %d vs %d completions", trial, i, len(fa.lat), len(na.lat))
 			}
-			for j := range fa.runLat {
-				if fa.runLat[j] != na.runLat[j] {
-					t.Fatalf("trial %d app %d latency %d: %v vs %v", trial, i, j, fa.runLat[j], na.runLat[j])
+			for j := range fa.lat {
+				if fa.lat[j] != na.lat[j] {
+					t.Fatalf("trial %d app %d latency %d: %v vs %v", trial, i, j, fa.lat[j], na.lat[j])
 				}
 			}
 		}

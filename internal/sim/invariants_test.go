@@ -105,7 +105,7 @@ func TestTickInvariantsUnderRandomAllocations(t *testing.T) {
 		}
 		// Latencies must be positive and finite.
 		for _, a := range e.apps {
-			for _, l := range a.runLat {
+			for _, l := range a.lat {
 				if !(l > 0) || l > 1e7 {
 					t.Fatalf("trial %d: bad latency %g for %s", trial, l, a.name)
 				}
@@ -131,11 +131,11 @@ func TestLatencyNeverNegative(t *testing.T) {
 		e.Step()
 	}
 	a := e.apps[0]
-	if len(a.runLat) == 0 {
+	if len(a.lat) == 0 {
 		t.Fatal("no completions")
 	}
-	minLat := a.runLat[0]
-	for _, l := range a.runLat {
+	minLat := a.lat[0]
+	for _, l := range a.lat {
 		if l < minLat {
 			minLat = l
 		}
@@ -172,7 +172,7 @@ func TestThroughputNotTickQuantised(t *testing.T) {
 	// At 100% load = 0.85*threads/serviceMean, throughput per second is
 	// maxLoad; with tick-quantised service it would cap at
 	// threads/tick = 4000/s < maxLoad for silo (6800/s).
-	gotQPS := float64(len(e.apps[0].runLat)) / 6.0
+	gotQPS := float64(len(e.apps[0].lat)) / 6.0
 	if gotQPS < app.MaxLoadQPS*0.9 {
 		t.Errorf("throughput %.0f QPS, want ~%.0f (tick quantisation?)", gotQPS, app.MaxLoadQPS)
 	}

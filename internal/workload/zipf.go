@@ -37,7 +37,9 @@ type TermMix struct {
 // guideBuckets sizes the Sample guide table. A power of two keeps
 // u*guideBuckets exact (the multiplication only shifts the exponent), so
 // bucket membership is exact float arithmetic, not an approximation.
-const guideBuckets = 256
+// 4096 buckets keep the search short even for masstree's 100k-term
+// vocabulary, at 16 KB of table per mix.
+const guideBuckets = 4096
 
 // NewTermMix builds and normalises a term mix.
 func NewTermMix(terms int, skew, coldFactor float64) (*TermMix, error) {
@@ -97,7 +99,12 @@ func NewTermMix(terms int, skew, coldFactor float64) (*TermMix, error) {
 // the guide table narrows the binary search to a handful of ranks, and a
 // Zipfian's head-heavy buckets usually pin it outright.
 func (m *TermMix) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
+	return m.factors[m.rank(rng.Float64())]
+}
+
+// rank returns the smallest rank whose cumulative probability reaches u,
+// for u in [0, 1).
+func (m *TermMix) rank(u float64) int {
 	j := int(u * guideBuckets) // exact: u in [0,1), power-of-two scale
 	lo, hi := int(m.guide[j]), int(m.guide[j+1])
 	for lo < hi {
@@ -108,7 +115,7 @@ func (m *TermMix) Sample(rng *rand.Rand) float64 {
 			hi = mid
 		}
 	}
-	return m.factors[lo]
+	return lo
 }
 
 // MeanFactor returns the probability-weighted mean multiplier; 1 by

@@ -111,3 +111,48 @@ func TestFitSigmaPreservesIdealP95(t *testing.T) {
 		}
 	}
 }
+
+// TestGuidedRankMatchesLowerBound pins the guide table: for every catalog
+// mix, the guided rank equals an unguided lower-bound search of the whole
+// cdf (the smallest rank whose cumulative probability reaches u) on 10^6
+// seeded draws and on every bucket boundary j/guideBuckets and its
+// neighbouring floats, where an off-by-one bucket would show first.
+func TestGuidedRankMatchesLowerBound(t *testing.T) {
+	for _, name := range termMixApps {
+		m := MustLC(name).Terms
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return
+			}
+			if got, want := m.rank(u), sort.SearchFloat64s(m.cdf, u); got != want {
+				t.Fatalf("%s: rank(%v) = %d, lower bound %d", name, u, got, want)
+			}
+		}
+		for j := 0; j <= guideBuckets; j++ {
+			b := float64(j) / guideBuckets
+			check(math.Nextafter(b, 0))
+			check(b)
+			check(math.Nextafter(b, 1))
+		}
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		for i := 0; i < 1_000_000; i++ {
+			check(rng.Float64())
+		}
+	}
+}
+
+func BenchmarkTermMixSample(b *testing.B) {
+	for _, name := range termMixApps {
+		m := MustLC(name).Terms
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += m.Sample(rng)
+			}
+			if sum < 0 {
+				b.Fatal(sum)
+			}
+		})
+	}
+}
