@@ -18,6 +18,7 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/entropy"
 	"ahq/internal/experiments"
+	"ahq/internal/faults"
 	"ahq/internal/machine"
 	"ahq/internal/metrics"
 	"ahq/internal/sched"
@@ -146,17 +147,10 @@ func BenchmarkFleet(b *testing.B) { benchFleet(b, false) }
 // one by one, as the pre-sharding cluster.Run ran them.
 func BenchmarkFleetSequential(b *testing.B) { benchFleet(b, true) }
 
-// fleetSweepCandidates builds the candidate-evaluation workload for the
-// sweep benchmarks: an incumbent placement (interference-unaware Pack over
-// a drawn population, the worst sharer within a single Run) plus
-// local-search neighbours that each swap a handful of applications between
-// node pairs — the shape an online placement optimiser scores (Mage-style
-// candidate evaluation). Neighbours share the overwhelming majority of
-// their node contents with the incumbent, which is precisely the recurrence
-// the sweep-scoped NodeCache collapses and within-Run grouping cannot see.
-func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.AppConfig {
-	b.Helper()
-	rng := rand.New(rand.NewSource(9))
+// benchPopulation draws about 2.5 applications per node from rng, 70% of
+// them LC at one of four quantised loads: a small catalog whose node
+// contents recur, as in a real fleet.
+func benchPopulation(rng *rand.Rand, nodes int) []sim.AppConfig {
 	lcNames := []string{"xapian", "moses", "img-dnn", "silo", "masstree", "sphinx"}
 	beNames := []string{"stream", "fluidanimate", "streamcluster"}
 	loads := []float64{0.2, 0.35, 0.5, 0.7}
@@ -170,7 +164,21 @@ func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.
 			apps[i] = sim.AppConfig{BE: &be}
 		}
 	}
-	base, err := cluster.Pack(apps, nodes, 8)
+	return apps
+}
+
+// fleetSweepCandidates builds the candidate-evaluation workload for the
+// sweep benchmarks: an incumbent placement (interference-unaware Pack over
+// a drawn population, the worst sharer within a single Run) plus
+// local-search neighbours that each swap a handful of applications between
+// node pairs — the shape an online placement optimiser scores (Mage-style
+// candidate evaluation). Neighbours share the overwhelming majority of
+// their node contents with the incumbent, which is precisely the recurrence
+// the sweep-scoped NodeCache collapses and within-Run grouping cannot see.
+func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.AppConfig {
+	b.Helper()
+	rng := rand.New(rand.NewSource(9))
+	base, err := cluster.Pack(benchPopulation(rng, nodes), nodes, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,6 +251,59 @@ func benchFleetSweep(b *testing.B, cached bool) {
 	}
 	b.ReportMetric(float64(sims), "nodesims/op")
 	b.ReportMetric(float64(hits), "nodehits/op")
+}
+
+// BenchmarkFleetChaos drives the phased fleet path: a 200-node Scored
+// fleet under a persistent 5% crash wave at epoch 4 and the mixed
+// crash+degrade+blackout plan, each with re-placement off and on, four Runs
+// sharing one NodeCache at Parallel 1 per iteration. Crash phases pair
+// warmed and unwarmed windows of the same node contents, so each Run cuts
+// several windows from one trajectory simulation; trajs/op counts the
+// trajectories driven per iteration.
+func BenchmarkFleetChaos(b *testing.B) {
+	const nodes = 200
+	spec := machine.DefaultSpec()
+	placement, err := cluster.Scored(benchPopulation(rand.New(rand.NewSource(1)), nodes), nodes, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	placement = cluster.CanonicalizePlacement(placement)
+	var plans []*faults.FleetPlan
+	for _, p := range []string{"crash@4+/nodes=5%", "crash@4x4/nodes=5%,degrade@2+/nodes=10%,blackout@6x3/nodes=10%"} {
+		plan, err := faults.ParseFleet(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	opts := core.Options{EpochMs: 500, WarmupMs: 1_000, DurationMs: 5_000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var trajs int
+	for n := 0; n < b.N; n++ {
+		cache := cluster.NewNodeCache()
+		trajs = 0
+		for _, plan := range plans {
+			for _, replace := range []bool{false, true} {
+				res, err := cluster.Run(cluster.Config{
+					Spec:           spec,
+					Seed:           1,
+					NewStrategy:    func(int) sched.Strategy { return arq.Default() },
+					Placement:      placement,
+					Parallel:       1,
+					NodeCache:      cache,
+					StrategyDigest: "arq:default",
+					FleetPlan:      plan,
+					ReplaceEvicted: replace,
+				}, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				trajs += res.Stats.NodesSimulated
+			}
+		}
+	}
+	b.ReportMetric(float64(trajs), "trajs/op")
 }
 
 // BenchmarkFleetSweep is the candidate-evaluation sweep with the
@@ -336,13 +397,14 @@ func denseEngine(b *testing.B, loadFrac float64) *sim.Engine {
 
 // benchDenseTicks measures Engine.Step at the dense node, like
 // BenchmarkEngineTick does at the paper's node. The engine is driven at the
-// production cadence — 500 ticks, then a window snapshot and stats reset —
+// production cadence — 500 ticks, then a window snapshot and a fresh run mark —
 // but only the Steps are timed: the drain is per-window accounting, not
 // tick-loop cost, and draining (untimed) keeps the window accumulators at
 // their realistic steady-state size instead of growing without bound over
 // b.N ticks.
 func benchDenseTicks(b *testing.B, loadFrac float64) {
 	e := denseEngine(b, loadFrac)
+	mark := e.MarkRun()
 	b.ReportAllocs()
 	b.ResetTimer()
 	ticks := 0
@@ -352,7 +414,8 @@ func benchDenseTicks(b *testing.B, loadFrac float64) {
 			ticks = 0
 			b.StopTimer()
 			e.RunWindow(0) // drain the window accumulators only
-			e.ResetRunStats()
+			e.ReleaseRun(mark)
+			mark = e.MarkRun()
 			b.StartTimer()
 		}
 	}

@@ -167,6 +167,8 @@ type daemon struct {
 	incidents int
 	degraded  int
 	history   []epochSummary
+	// runMark is the engine run mark of the current epoch (stepEpoch).
+	runMark int
 
 	// Fleet-plan state: the daemon is a one-node fleet, so crash events
 	// freeze the node (down counts, no strategy turn) and blackout events
@@ -227,6 +229,7 @@ func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *fau
 	if err := d.host.Apply(d.strategy.Init(engine.Spec(), engine.AppSpecs())); err != nil {
 		return nil, err
 	}
+	d.runMark = d.node.MarkRun()
 	return d, nil
 }
 
@@ -385,9 +388,11 @@ func (d *daemon) stepEpoch() {
 	epochOK := true
 	windows := d.node.RunWindow(d.epochMs)
 	// The daemon reads only per-window telemetry, never the run-level
-	// aggregates, so drop them every epoch; otherwise the engine keeps
-	// every completed request's latency for the life of the process.
-	d.node.ResetRunStats()
+	// aggregates, so restart its run mark every epoch: the engine keeps
+	// completions from the earliest live mark, and a mark that lived for
+	// the process would keep every request's latency.
+	d.node.ReleaseRun(d.runMark)
+	d.runMark = d.node.MarkRun()
 	if d.blackoutAt(d.epoch) {
 		// Whole-node telemetry blackout: the node keeps running but the
 		// controller sees nothing this epoch.

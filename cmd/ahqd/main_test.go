@@ -380,7 +380,7 @@ func TestDaemonKeepsNoRunLatencies(t *testing.T) {
 				continue // RunP95 would report the oldest waiting request's age
 			}
 			checked++
-			if p := d.engine.RunP95(app); !math.IsNaN(p) {
+			if p := d.engine.RunP95(app, d.runMark); !math.IsNaN(p) {
 				t.Fatalf("epoch %d: %s retains run-level latencies across epochs (RunP95 = %v)", i, app, p)
 			}
 		}

@@ -4,21 +4,27 @@ package cluster
 // of *phases* — maximal epoch ranges over which the fleet's configuration
 // is constant (supervisor.go cuts one at every crash, restart, degrade
 // flip and re-placement a faults.FleetPlan causes; a run without a plan is
-// a single phase) — and each (phase, node) slot becomes one independent
-// simulation unit: the node's applications at that time, its (possibly
-// degraded) capacity, and its blackout coverage lowered to a node-local
-// telemetry-drop plan. A phase spanning the whole horizon runs the
-// caller's controller options verbatim; otherwise a phase overlapping the
-// warm-up window carries the overlap as its own warm-up, and later phases
-// run unwarmed.
+// a single phase) — and each (phase, node) slot becomes one unit: the
+// node's applications at that time, its (possibly degraded) capacity, its
+// blackout coverage lowered to a node-local telemetry-drop plan, and its
+// measurement window. A phase spanning the whole horizon runs the caller's
+// controller options verbatim; otherwise a phase overlapping the warm-up
+// window carries the overlap as its own warm-up, and later phases run
+// unwarmed.
 //
 // The phased model deliberately drops cross-phase node state (queue
 // backlogs, strategy learning do not survive a boundary): a phase is a
 // fresh steady-state estimate of the configuration it covers, which is
 // exactly the quantity fleet-level E_S aggregation needs, and what keeps
 // every unit a pure function of its content. Units with equal content keys
-// are therefore grouped before sharding — each distinct unit simulates
-// once per Run — and the NodeCache replays them across Runs.
+// are therefore one unit, simulated once per Run, and the NodeCache
+// replays them across Runs. Units whose content differs only in the
+// window are one *trajectory*: equal contents share a seed, so their
+// simulations are the same from the first tick, and the window decides
+// only where measurement starts and stops (core.RunHorizons). Each
+// trajectory is simulated once, to its longest window, and every unit's
+// record is cut from it — a node whose contents survive a crash phase
+// boundary elsewhere in the fleet is simulated once, not once per phase.
 //
 // Aggregation pools run-level samples over every slot in (phase, node)
 // order, whatever the grouping, so grouping and caching never move a bit
@@ -54,31 +60,46 @@ type unitSlot struct {
 	node, unit, measured int
 }
 
-// groupUnits enumerates the schedule's slots and groups their units by
-// content key: slots with equal keys share one unit, simulated once, and
-// the key addresses the NodeCache. Units are numbered by first appearance,
-// so the grouping is a deterministic function of the configuration.
-func groupUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64) ([]shardUnit, []unitSlot) {
+// groupUnits enumerates the schedule's slots and groups them twice. Slots
+// with equal unit keys share one unit — one measurement window, one record,
+// one NodeCache key. Units with equal trajectory keys (the unit key less
+// the horizon) share one trajectory: one simulation from which every
+// unit's window is cut. Units and trajectories are numbered by first
+// appearance, so the grouping is a deterministic function of the
+// configuration; each trajectory lists its units in that order.
+func groupUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64) ([]shardUnit, [][]int, []unitSlot) {
 	var units []shardUnit
+	var trajs [][]int
 	var slots []unitSlot
 	index := make(map[string]int)
-	phaseUnits(cfg, plan, sched, opts, ri, func(ref unitRef, u simUnit, key []byte, hash uint64, measured int) {
+	trajIndex := make(map[string]int)
+	phaseUnits(cfg, plan, sched, opts, ri, func(ref unitRef, u simUnit, key, traj []byte, hash uint64, measured int) {
 		ui, dup := index[string(key)]
 		if !dup {
 			ui = len(units)
 			su := shardUnit{unit: u}
+			ti := len(trajs)
 			if key != nil {
 				ks := string(key)
 				index[ks] = ui
 				if cfg.NodeCache != nil {
 					su.key = cacheKey{s: ks, hash: hash}
 				}
+				if t, ok := trajIndex[string(traj)]; ok {
+					ti = t
+				} else {
+					trajIndex[ks[len(key)-len(traj):]] = ti
+				}
 			}
+			if ti == len(trajs) {
+				trajs = append(trajs, nil)
+			}
+			trajs[ti] = append(trajs[ti], ui)
 			units = append(units, su)
 		}
 		slots = append(slots, unitSlot{node: ref.node, unit: ui, measured: measured})
 	})
-	return units, slots
+	return units, trajs, slots
 }
 
 // horizonEpochs splits post-default options into the run's total epochs
@@ -104,8 +125,8 @@ func runPhases(cfg Config, opts core.Options, ri float64) (*Result, error) {
 	}
 	sched := supervise(plan, cfg.Placement, cfg.Spec, cfg.ReplaceEvicted, totalEpochs)
 
-	units, slots := groupUnits(&cfg, plan, sched, opts, ri)
-	outs, stats, err := runUnits(&cfg, units)
+	units, trajs, slots := groupUnits(&cfg, plan, sched, opts, ri)
+	outs, stats, err := runUnits(&cfg, units, trajs)
 	if err != nil {
 		return nil, err
 	}
@@ -257,21 +278,25 @@ func phaseWindow(ph *fleetPhase, warmEpochs int) (warmIn, measured int) {
 }
 
 // phaseUnits enumerates the schedule's simulation units in (phase, node)
-// order and hands each to emit with its (phase, node) address, its content
-// key with the key's shard hash, and its phase's measured epochs. The key
-// bytes are valid only during the call. Down and empty nodes simulate
-// nothing; phases entirely inside warm-up measure nothing and are skipped
-// whole. For a template that is not key-serialisable the key is nil: such
-// units are never grouped or cached.
+// order and hands each to emit with its (phase, node) address, its unit
+// and trajectory keys with the keys' shard hash, and its phase's measured
+// epochs. The key bytes are valid only during the call. Down and empty
+// nodes simulate nothing; phases entirely inside warm-up measure nothing
+// and are skipped whole. For a template that is not key-serialisable both
+// keys are nil: such units are never grouped or cached.
 //
-// A unit key serialises every input the unit's simulation reads —
-// capacity, controller options (post-default), aggregation RI, engine
-// tunables, strategy digest, blackout plan, seed, and the application
-// template in simulation order. Everything up to the blackout is shared by
+// A trajectory key serialises every input the simulation reads —
+// capacity, epoch length, RI and timeline flag (post-default), aggregation
+// RI, engine tunables, strategy digest, blackout plan, seed, and the
+// application template in simulation order. A unit key is the unit's
+// horizon (warm-up and measured duration, post-default) followed by its
+// trajectory key, so the trajectory key is a suffix of the unit key: the
+// horizon decides only where measurement starts and stops, never what is
+// simulated (core.RunHorizons). Everything up to the blackout is shared by
 // the phase's healthy (or degraded) nodes and is built once per phase; the
 // applications, template key and seed come from a per-node memo that lives
 // as long as the node's assignment slice (nodeTemplate).
-func phaseUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64, emit func(ref unitRef, u simUnit, key []byte, hash uint64, measured int)) {
+func phaseUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64, emit func(ref unitRef, u simUnit, key, traj []byte, hash uint64, measured int)) {
 	o := opts.WithDefaults()
 	totalEpochs, warmEpochs := horizonEpochs(o)
 	degSpec := faults.DegradedSpec(cfg.Spec)
@@ -296,6 +321,7 @@ func phaseUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts 
 			}
 		}
 		var prefix [2][]byte // healthy, degraded; built on first use
+		horizon := 0         // bytes of the prefix that serialise the horizon
 		for nd := range ph.assign {
 			if ph.down[nd] || len(ph.assign[nd]) == 0 {
 				continue
@@ -309,15 +335,15 @@ func phaseUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts 
 				node: nd, apps: t.apps, spec: spec, seed: t.seed, opts: phOpts,
 				blackout: plan.BlackoutPlan(nd, ph.start, ph.end),
 			}
-			var key []byte
+			var key, traj []byte
 			if t.key != nil {
 				if prefix[deg] == nil {
-					prefix[deg] = unitKeyPrefix(cfg, spec, phOpts, ri)
+					prefix[deg], horizon = unitKeyPrefix(cfg, spec, phOpts, ri)
 				}
 				buf = t.appendUnitKey(buf[:0], prefix[deg], u.blackout)
-				key = buf
+				key, traj = buf, buf[horizon:]
 			}
-			emit(unitRef{pi, nd}, u, key, keyHash(t.seed, t.hash), measured)
+			emit(unitRef{pi, nd}, u, key, traj, keyHash(t.seed, t.hash), measured)
 		}
 	}
 }
@@ -369,26 +395,30 @@ func (t *nodeTemplate) appendUnitKey(b, prefix []byte, blackout *faults.Plan) []
 }
 
 // unitKeyPrefix serialises the unit-key inputs one phase shares across
-// every node of one capacity: the capacity, the controller options
-// (post-default, so spelling a default explicitly cannot split the key),
-// the aggregation RI, the engine tunables the fleet engine runs
-// (DefaultTunables — units construct their engines without overrides, and
-// the serialisation pins that assumption), and the strategy digest.
-func unitKeyPrefix(cfg *Config, spec machine.Spec, opts core.Options, ri float64) []byte {
+// every node of one capacity, and returns it with the length of its
+// leading horizon part: the horizon (warm-up and measured duration), then
+// the trajectory inputs — the capacity, the controller options that reach
+// the simulation (post-default, so spelling a default explicitly cannot
+// split the key), the aggregation RI, the engine tunables the fleet engine
+// runs (DefaultTunables — units construct their engines without
+// overrides, and the serialisation pins that assumption), and the strategy
+// digest.
+func unitKeyPrefix(cfg *Config, spec machine.Spec, opts core.Options, ri float64) ([]byte, int) {
 	o := opts.WithDefaults()
 	b := make([]byte, 0, 256)
+	b = sim.AppendKeyFloat(b, o.WarmupMs)
+	b = sim.AppendKeyFloat(b, o.DurationMs)
+	horizon := len(b)
 	b = sim.AppendKeyInt(b, spec.Cores)
 	b = sim.AppendKeyInt(b, spec.LLCWays)
 	b = sim.AppendKeyInt(b, spec.MemBWUnits)
 	b = sim.AppendKeyFloat(b, spec.MemBWGBps)
 	b = sim.AppendKeyFloat(b, o.EpochMs)
-	b = sim.AppendKeyFloat(b, o.WarmupMs)
-	b = sim.AppendKeyFloat(b, o.DurationMs)
 	b = sim.AppendKeyFloat(b, o.RI)
 	if o.RecordTimeline {
 		b = append(b, 'T')
 	}
 	b = sim.AppendKeyFloat(b, ri)
 	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
-	return sim.AppendKeyString(b, cfg.StrategyDigest)
+	return sim.AppendKeyString(b, cfg.StrategyDigest), horizon
 }

@@ -92,24 +92,25 @@ func TestChaosDeterministicWithNodeCache(t *testing.T) {
 }
 
 // chaosUnitKey is the from-scratch reference serialisation of a unit's
-// content key: capacity, per-phase controller options (post-default),
+// content key: the per-phase horizon (post-default), then its trajectory
+// key — capacity, epoch length, RI and timeline flag (post-default),
 // aggregation RI, engine tunables, strategy digest, blackout plan, seed
-// and canonical template, in one pass. Returns "" when the template is not
-// key-serialisable.
-func chaosUnitKey(cfg *Config, u simUnit, ri float64) string {
+// and canonical template — in one pass. It returns the unit key and the
+// trajectory key, "" when the template is not key-serialisable.
+func chaosUnitKey(cfg *Config, u simUnit, ri float64) (string, string) {
 	_, tk := orderedTemplate(u.apps, false)
 	if tk == nil {
-		return ""
+		return "", ""
 	}
 	o := u.opts.WithDefaults()
-	var b []byte
+	var h, b []byte
+	h = sim.AppendKeyFloat(h, o.WarmupMs)
+	h = sim.AppendKeyFloat(h, o.DurationMs)
 	b = sim.AppendKeyInt(b, u.spec.Cores)
 	b = sim.AppendKeyInt(b, u.spec.LLCWays)
 	b = sim.AppendKeyInt(b, u.spec.MemBWUnits)
 	b = sim.AppendKeyFloat(b, u.spec.MemBWGBps)
 	b = sim.AppendKeyFloat(b, o.EpochMs)
-	b = sim.AppendKeyFloat(b, o.WarmupMs)
-	b = sim.AppendKeyFloat(b, o.DurationMs)
 	b = sim.AppendKeyFloat(b, o.RI)
 	if o.RecordTimeline {
 		b = append(b, 'T')
@@ -121,7 +122,7 @@ func chaosUnitKey(cfg *Config, u simUnit, ri float64) string {
 	b = sim.AppendKeyInt64(b, u.seed)
 	b = append(b, '|')
 	b = append(b, tk...)
-	return string(b)
+	return string(h) + string(b), string(b)
 }
 
 // TestChaosUnitKeysMatchFromScratch pins the per-node template memo and the
@@ -151,7 +152,7 @@ func TestChaosUnitKeysMatchFromScratch(t *testing.T) {
 		}
 		prev := make(map[int]seen)
 		var units, degraded, blackedOut, refreshed int
-		phaseUnits(&cfg, resolved, sched, quickOpts(), ri, func(ref unitRef, u simUnit, key []byte, hash uint64, measured int) {
+		phaseUnits(&cfg, resolved, sched, quickOpts(), ri, func(ref unitRef, u simUnit, key, traj []byte, hash uint64, measured int) {
 			units++
 			ph := &sched.phases[ref.phase]
 			apps := CanonicalOrder(ph.assign[ref.node])
@@ -174,9 +175,14 @@ func TestChaosUnitKeysMatchFromScratch(t *testing.T) {
 			if got := u.opts.DurationMs; got != float64(measured)*o.EpochMs {
 				t.Errorf("replace=%v phase %d: DurationMs %v for %d measured epochs", replace, ref.phase, got, measured)
 			}
-			if wantKey := chaosUnitKey(&cfg, want, ri); string(key) != wantKey {
+			wantKey, wantTraj := chaosUnitKey(&cfg, want, ri)
+			if string(key) != wantKey {
 				t.Errorf("replace=%v phase %d node %d: memoised key differs from scratch\n got %q\nwant %q",
 					replace, ref.phase, ref.node, key, wantKey)
+			}
+			if string(traj) != wantTraj {
+				t.Errorf("replace=%v phase %d node %d: trajectory key differs from scratch\n got %q\nwant %q",
+					replace, ref.phase, ref.node, traj, wantTraj)
 			}
 			_, tk := orderedTemplate(apps, false)
 			if h := keyHash(want.seed, fnv1a(tk)); hash != h {

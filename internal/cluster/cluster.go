@@ -8,16 +8,18 @@
 // Run is one sharded fleet engine for healthy and faulted runs alike. The
 // supervisor (supervisor.go) cuts the horizon into phases — a run without
 // a FleetPlan is a single phase — and every (phase, node) pair becomes one
-// simulation unit (chaos.go). Units with equal content keys are grouped
-// before sharding, so each distinct unit simulates once per Run, and a
-// NodeCache (nodecache.go) replays units across Runs. Units fan out in
+// unit: a measurement window of one node trajectory (chaos.go). Units with
+// equal content keys are grouped, and units that differ only in their
+// window are cut from one trajectory simulation (core.RunHorizons), so
+// each distinct trajectory simulates once per Run; a NodeCache
+// (nodecache.go) replays windows across Runs. Trajectories fan out in
 // contiguous shards over a bounded worker pool (internal/pool, the same
-// implementation the experiment harness uses); every unit runs its own
-// engine with a private contention-solve memo and is condensed into a
-// compact summary plus its entropy samples as it finishes. Records are
-// merged in (phase, node) slot order, so a 5000-node fleet fits
-// comfortably in memory and the result is byte-identical at every
-// parallelism level.
+// implementation the experiment harness uses); every trajectory runs its
+// own engine with a private contention-solve memo, and each window is
+// condensed into a compact summary plus its entropy samples as the
+// trajectory finishes. Records are merged in (phase, node) slot order, so
+// a 5000-node fleet fits comfortably in memory and the result is
+// byte-identical at every parallelism level.
 package cluster
 
 import (
@@ -42,12 +44,12 @@ type Config struct {
 	// Seed drives all nodes deterministically, under the SeedPerNode
 	// policy.
 	Seed int64
-	// NewStrategy builds one strategy instance per simulation unit. It is
-	// called from shard workers, so it must be safe for concurrent calls
-	// and must return a fresh instance every time (strategies are
-	// stateful). Units with equal content keys share one simulation, built
-	// with the first such unit's node index, so the factory must not
-	// depend on the node index.
+	// NewStrategy builds one strategy instance per trajectory simulation.
+	// It is called from shard workers, so it must be safe for concurrent
+	// calls and must return a fresh instance every time (strategies are
+	// stateful). Every unit of one trajectory — equal contents in any
+	// phase — shares one simulation, built with the first such unit's node
+	// index, so the factory must not depend on the node index.
 	NewStrategy func(node int) sched.Strategy
 	// Placement assigns the application set to nodes: Placement[i] holds
 	// node i's applications. Every node needs at least one application.
@@ -55,7 +57,7 @@ type Config struct {
 	// RI is the relative importance for the global entropy; 0 means the
 	// paper's 0.8.
 	RI float64
-	// Parallel bounds how many unit simulations run simultaneously;
+	// Parallel bounds how many trajectory simulations run simultaneously;
 	// <= 0 means runtime.NumCPU(), 1 runs the shards sequentially.
 	// Results are merged in slot order, so the output is identical at
 	// every parallelism level.
@@ -68,9 +70,9 @@ type Config struct {
 	// Placement[i] as given: independent stochastic streams per node.
 	SeedPerNode bool
 	// NodeCache optionally supplies a sweep-scoped cache of completed
-	// unit simulations (nodecache.go): before simulating a unit the
-	// engine looks up its content-addressed key — every input the
-	// simulation reads, bit-exactly — and a hit replays the record the
+	// unit windows (nodecache.go): before simulating a trajectory the
+	// engine looks up each unit's content-addressed key — every input the
+	// window reads, bit-exactly — and a hit replays the record the
 	// identical computation produced in an earlier Run (or in a racing
 	// shard, via single-flight). Byte-identical output by construction;
 	// only wall time changes. Requires StrategyDigest.
@@ -124,7 +126,7 @@ type NodeSummary struct {
 	// FleetPlan crashed it at some epoch.
 	Failed bool
 	// DownEpochs counts epochs (warm-up included) the node was dead: the
-	// horizon of every unit whose simulation errored, plus the crash
+	// window of every unit whose simulation errored, plus the crash
 	// coverage under a FleetPlan.
 	DownEpochs int
 	// Evictions counts applications the supervisor evicted from this node
@@ -140,14 +142,15 @@ type NodeSummary struct {
 type FleetStats struct {
 	// NodesRun counts the fleet's logical nodes.
 	NodesRun int
-	// NodesSimulated counts engines actually driven: the distinct
-	// simulation units of the run, less those replayed from the NodeCache.
+	// NodesSimulated counts engines actually driven: one per trajectory
+	// with a window the NodeCache did not replay (plus one per trajectory
+	// that re-simulates windows whose racing claimant failed).
 	NodesSimulated int
 	// MemoHits are per-engine memo hits, Solves are full fixed-point
 	// solves, summed over the engines actually driven.
 	MemoHits, Solves uint64
-	// NodeCacheHits counts units whose simulation was replayed from
-	// Config.NodeCache instead of being run.
+	// NodeCacheHits counts units whose window was replayed from
+	// Config.NodeCache instead of being simulated.
 	NodeCacheHits uint64
 	// FailedNodes counts nodes with NodeSummary.Failed set; DownEpochs and
 	// Evictions sum the corresponding per-node counters. Deterministic.
@@ -219,30 +222,23 @@ func (c *statsCollector) snapshot() FleetStats {
 	return s
 }
 
-// classOut is one simulated unit's streaming record: the summary
-// template (the merge attributes it to every slot the unit covers) and the
-// unit's valid entropy samples.
+// classOut is one unit's record: the summary template (the merge
+// attributes it to every slot the unit covers) and the unit's valid
+// entropy samples.
 type classOut struct {
 	sum NodeSummary
 	lc  []entropy.LCSample
 	be  []entropy.BESample
 }
 
-// shardAccum is one shard's streaming accumulator: unit records for a
-// contiguous unit range, appended in unit order as each unit finishes and
-// its full result is dropped.
-type shardAccum struct {
-	outs []classOut
-}
-
 // shardsFor picks the shard count: enough shards per worker that an
 // unlucky slow shard cannot serialise the tail of the run, never more
-// shards than units. The count never affects results — shard accumulators
-// are merged in unit order regardless of how the index space was cut.
-func shardsFor(units, workers int) int {
+// shards than trajectories. The count never affects results — every
+// record lands at its unit's index however the index space was cut.
+func shardsFor(trajs, workers int) int {
 	s := workers * 4
-	if s > units {
-		s = units
+	if s > trajs {
+		s = trajs
 	}
 	if s < 1 {
 		s = 1
@@ -275,37 +271,32 @@ func Run(cfg Config, opts core.Options) (*Result, error) {
 	return runPhases(cfg, opts, ri)
 }
 
-// runUnits fans the unit list out over the worker pool in contiguous
-// shards and returns the unit records in unit order. A failing shard no
-// longer strands its siblings: every future is drained before the first
-// error is returned, so no goroutine is left writing the collector after
-// Run has handed control back to the caller.
-func runUnits(cfg *Config, units []shardUnit) ([]classOut, FleetStats, error) {
+// runUnits fans the trajectories out over the worker pool in contiguous
+// shards and returns the unit records in unit order: each shard writes the
+// records of its trajectories' units, which no other shard touches. A
+// failing shard no longer strands its siblings: every future is drained
+// before the first error is returned, so no goroutine is left writing the
+// records or the collector after Run has handed control back to the
+// caller.
+func runUnits(cfg *Config, units []shardUnit, trajs [][]int) ([]classOut, FleetStats, error) {
 	ex := workpool.New(cfg.Parallel)
 	stats := &statsCollector{}
-	shards := shardsFor(len(units), ex.Workers())
-	futs := make([]*workpool.Future[*shardAccum], 0, shards)
+	outs := make([]classOut, len(units))
+	shards := shardsFor(len(trajs), ex.Workers())
+	futs := make([]*workpool.Future[struct{}], 0, shards)
 	for s := 0; s < shards; s++ {
 		// Contiguous ranges, remainder spread over the leading shards.
-		lo := s * len(units) / shards
-		hi := (s + 1) * len(units) / shards
+		lo := s * len(trajs) / shards
+		hi := (s + 1) * len(trajs) / shards
 		shard := s
-		futs = append(futs, workpool.Submit(ex, func() (*shardAccum, error) {
-			return runShard(*cfg, shard, units[lo:hi], stats)
+		futs = append(futs, workpool.Submit(ex, func() (struct{}, error) {
+			return struct{}{}, runShard(*cfg, shard, units, trajs[lo:hi], outs, stats)
 		}))
 	}
-	outs := make([]classOut, 0, len(units))
 	var firstErr error
 	for _, f := range futs {
-		acc, err := f.Wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if firstErr == nil {
-			outs = append(outs, acc.outs...)
+		if _, err := f.Wait(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr != nil {
@@ -349,10 +340,12 @@ func uniquify(apps []sim.AppConfig) []sim.AppConfig {
 	return out
 }
 
-// simUnit is one node simulation the engine must run: the node (for error
-// labels and the strategy factory), its applications, capacity, seed,
-// controller options, and an optional node-local telemetry-blackout plan.
-// The engine builds one per (phase, node) slot of the schedule.
+// simUnit is one measurement window the engine must deliver: the node
+// (for error labels and the strategy factory), its applications,
+// capacity, seed, controller options, and an optional node-local
+// telemetry-blackout plan. The engine builds one per (phase, node) slot of
+// the schedule; units that differ only in their options' horizon are
+// windows of one trajectory and are cut from one simulation.
 type simUnit struct {
 	node     int
 	apps     []sim.AppConfig
@@ -373,105 +366,158 @@ type shardUnit struct {
 // shardFailHook, when non-nil, injects a shard-level failure before the
 // shard simulates anything. Set only by tests, to exercise runUnits'
 // future-drain path — production shards have no error source of their own
-// left (unit failures are absorbed into dead records).
+// left (simulation failures are absorbed into dead records).
 var shardFailHook func(shard int) error
 
-// runShard drives a contiguous range of units, streaming each unit's
-// record into the shard accumulator. With a NodeCache configured each
-// keyed unit first resolves its content-addressed key: a published entry
-// replays the identical simulation's record, an in-flight entry is waited
-// on (a racing shard — possibly of another Run sharing the cache — is
-// computing this exact unit right now), and otherwise the shard simulates
-// the unit itself, publishing the outcome when it claimed the key. A unit
-// whose simulation errors no longer kills the fleet: the error is
-// published (and its cache entry dropped, so the key can be re-simulated),
-// then absorbed into a Failed record carrying saturated dead-window
-// samples, and the run continues. Full per-unit results are dropped.
-func runShard(cfg Config, shard int, units []shardUnit, stats *statsCollector) (*shardAccum, error) {
+// pendingUnit is a unit whose record another goroutine is producing.
+type pendingUnit struct {
+	unit  int
+	entry *nodeCacheEntry
+}
+
+// runShard drives a contiguous range of trajectories, writing each unit's
+// record to outs at the unit's index. Without a NodeCache a trajectory is
+// one simulation to its longest window. With one, each keyed unit first
+// resolves its own key: a published or in-flight entry (a racing shard,
+// possibly of another Run sharing the cache) is adopted, and otherwise the
+// shard claims the key. The trajectory then simulates once, to the longest
+// window it claimed or could not key, and publishes every claimed record
+// *before* waiting on any racer: a shard never waits while holding an
+// unpublished claim, so two Runs whose trajectories claimed each other's
+// windows cannot deadlock. A racer whose simulation failed leaves its
+// units to a second, unpublished simulation here. A failed simulation no
+// longer kills the fleet: the error is published (and its cache entries
+// dropped, so the keys can be re-simulated), then each of its windows is
+// absorbed into a Failed record carrying saturated dead-window samples,
+// and the run continues.
+func runShard(cfg Config, shard int, units []shardUnit, trajs [][]int, outs []classOut, stats *statsCollector) error {
 	if shardFailHook != nil {
 		if err := shardFailHook(shard); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	acc := &shardAccum{outs: make([]classOut, 0, len(units))}
 	var hits, solves, nodeHits uint64
 	simulated := 0
-	for _, su := range units {
-		var entry *nodeCacheEntry
-		if su.key.s != "" {
-			if e, ok := cfg.NodeCache.lookup(su.key); ok {
-				if co, err := e.wait(); err == nil {
-					acc.outs = append(acc.outs, co)
-					nodeHits++
-					continue
-				}
-				// The claimant's simulation failed and its entry was
-				// dropped; fall through and re-simulate locally.
+	var run, retry []int
+	var claims []*nodeCacheEntry
+	var pending []pendingUnit
+	drive := func(idx []int, pub []*nodeCacheEntry) {
+		cos, cs, err := simulateTrajectory(&cfg, units, idx)
+		for k, ui := range idx {
+			var co classOut
+			if err == nil {
+				co = cos[k]
 			}
-			if e, claimed := cfg.NodeCache.claim(su.key); claimed {
-				entry = e
-			} else if e != nil {
-				// Lost the claim race: adopt the racer's record, unless
-				// the racer failed — then simulate unpublished.
-				if co, err := e.wait(); err == nil {
-					acc.outs = append(acc.outs, co)
-					nodeHits++
-					continue
-				}
+			if pub != nil && pub[k] != nil {
+				cfg.NodeCache.publish(units[ui].key, pub[k], co, err)
 			}
-			// entry == nil here means the shard was full or a racer
-			// failed: simulate without publishing.
+			if err != nil {
+				// Absorb the failure: the node is recorded dead for the
+				// whole window instead of aborting every sibling.
+				co = deadUnitOut(units[ui].unit)
+			}
+			outs[ui] = co
 		}
-		co, cs, err := simulateUnit(&cfg, su.unit)
-		if entry != nil {
-			cfg.NodeCache.publish(su.key, entry, co, err)
-		}
-		if err != nil {
-			// Absorb the failure: the node is recorded dead for the whole
-			// unit horizon instead of aborting every sibling simulation.
-			co = deadUnitOut(su.unit)
-		}
-		acc.outs = append(acc.outs, co)
 		simulated++
 		hits += cs.memoHits
 		solves += cs.solves
 	}
+	for _, traj := range trajs {
+		run, claims, pending, retry = run[:0], claims[:0], pending[:0], retry[:0]
+		for _, ui := range traj {
+			key := units[ui].key
+			if key.s != "" {
+				if e, ok := cfg.NodeCache.lookup(key); ok {
+					pending = append(pending, pendingUnit{ui, e})
+					continue
+				}
+				e, claimed := cfg.NodeCache.claim(key)
+				if !claimed && e != nil {
+					// Lost the claim race: adopt the racer's record.
+					pending = append(pending, pendingUnit{ui, e})
+					continue
+				}
+				// e == nil here means the shard was full: simulate
+				// without publishing.
+				claims = append(claims, e)
+			} else {
+				claims = append(claims, nil)
+			}
+			run = append(run, ui)
+		}
+		if len(run) > 0 {
+			drive(run, claims)
+		}
+		for _, p := range pending {
+			if co, err := p.entry.wait(); err == nil {
+				outs[p.unit] = co
+				nodeHits++
+			} else {
+				// The racer's simulation failed and its entry was
+				// dropped; simulate the window here, unpublished.
+				retry = append(retry, p.unit)
+			}
+		}
+		if len(retry) > 0 {
+			drive(retry, nil)
+		}
+	}
 	stats.add(simulated, hits, solves, nodeHits)
-	return acc, nil
+	return nil
 }
 
-// classSolveStats carries one simulated unit's engine solve counters.
+// classSolveStats carries one simulation's engine solve counters.
 type classSolveStats struct {
 	memoHits, solves uint64
 }
 
-// simulateUnit runs one unit's simulation end to end and condenses it into
-// its record. A blackout plan wraps the engine with the PR 4 drop injector
-// so every application's telemetry vanishes over the planned epochs.
-func simulateUnit(cfg *Config, u simUnit) (classOut, classSolveStats, error) {
+// simulateTrajectory runs one engine and one strategy over the
+// trajectory the units idx share (their content is the first unit's),
+// cuts every unit's window from it (core.RunHorizons) and condenses each
+// into its record. A blackout plan wraps the engine with the drop
+// injector so every application's telemetry vanishes over the planned
+// epochs.
+func simulateTrajectory(cfg *Config, units []shardUnit, idx []int) ([]classOut, classSolveStats, error) {
+	u := units[idx[0]].unit
 	engine, err := sim.New(sim.Config{Spec: u.spec, Seed: u.seed, Apps: uniquify(u.apps)})
 	if err != nil {
-		return classOut{}, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
+		return nil, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
 	}
-	// The record below copies out everything it keeps, so the engine's
-	// buffers can go to the next unit once the solve counters are read.
+	// The records below copy out everything they keep, so the engine's
+	// buffers can go to the next simulation once the solve counters are
+	// read.
 	defer engine.Release()
 	var drive core.Engine = engine
 	if !u.blackout.Empty() {
 		drive = faults.NewInjector(u.blackout).Engine(engine)
 	}
-	nodeRes, err := core.Run(drive, cfg.NewStrategy(u.node), u.opts)
-	if err != nil {
-		return classOut{}, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
+	opts := make([]core.Options, len(idx))
+	for k, ui := range idx {
+		opts[k] = units[ui].unit.opts
 	}
+	results, err := core.RunHorizons(drive, cfg.NewStrategy(u.node), opts)
+	if err != nil {
+		return nil, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
+	}
+	cos := make([]classOut, len(results))
+	for k, r := range results {
+		cos[k] = condense(r)
+	}
+	var cs classSolveStats
+	cs.memoHits, cs.solves = engine.SolveStats()
+	return cos, cs, nil
+}
+
+// condense reduces a node result to its record.
+func condense(r *core.Result) classOut {
 	co := classOut{sum: NodeSummary{
-		ELC: nodeRes.RunELC, EBE: nodeRes.RunEBE, ES: nodeRes.RunES,
-		Yield:           nodeRes.Yield,
-		ViolationEpochs: nodeRes.TotalViolationEpochs,
-		Epochs:          nodeRes.Epochs,
-		Incidents:       len(nodeRes.Incidents),
+		ELC: r.RunELC, EBE: r.RunEBE, ES: r.RunES,
+		Yield:           r.Yield,
+		ViolationEpochs: r.TotalViolationEpochs,
+		Epochs:          r.Epochs,
+		Incidents:       len(r.Incidents),
 	}}
-	for _, a := range nodeRes.Apps {
+	for _, a := range r.Apps {
 		if a.Spec.Class == workload.LC {
 			co.sum.LCApps++
 			if a.LCSample.Validate() == nil {
@@ -484,12 +530,10 @@ func simulateUnit(cfg *Config, u simUnit) (classOut, classSolveStats, error) {
 			}
 		}
 	}
-	var cs classSolveStats
-	cs.memoHits, cs.solves = engine.SolveStats()
-	return co, cs, nil
+	return co
 }
 
-// deadUnitOut condenses a unit that could not run into a Failed record
+// deadUnitOut condenses a unit whose window could not run into a Failed record
 // with saturated dead-window samples, mirroring the clamps of
 // core.SamplesFromWindows (a dead LC application pins its latency at
 // 1000x its target, a dead BE application retains a sliver of its solo

@@ -11,6 +11,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/entropy"
+	"ahq/internal/faults"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
@@ -121,8 +122,8 @@ func referenceRun(t *testing.T, cfg Config, opts core.Options) referenceGlobals 
 	var g referenceGlobals
 	var lc []entropy.Weighted[entropy.LCSample]
 	var be []entropy.Weighted[entropy.BESample]
-	phaseUnits(&cfg, plan, sched, opts, ri, func(_ unitRef, u simUnit, _ []byte, _ uint64, measured int) {
-		co, _, err := simulateUnit(&cfg, u)
+	phaseUnits(&cfg, plan, sched, opts, ri, func(_ unitRef, u simUnit, _, _ []byte, _ uint64, measured int) {
+		co, err := simulateUnit(&cfg, u)
 		if err != nil {
 			co = deadUnitOut(u)
 		}
@@ -158,6 +159,25 @@ func referenceRun(t *testing.T, cfg Config, opts core.Options) referenceGlobals 
 		g.yield = sat / tot
 	}
 	return g
+}
+
+// simulateUnit is the reference reading of one unit: its own engine and
+// strategy, driven by core.Run over the unit's horizon alone, condensed
+// into its record.
+func simulateUnit(cfg *Config, u simUnit) (classOut, error) {
+	engine, err := sim.New(sim.Config{Spec: u.spec, Seed: u.seed, Apps: uniquify(u.apps)})
+	if err != nil {
+		return classOut{}, err
+	}
+	var drive core.Engine = engine
+	if !u.blackout.Empty() {
+		drive = faults.NewInjector(u.blackout).Engine(engine)
+	}
+	res, err := core.Run(drive, cfg.NewStrategy(u.node), u.opts)
+	if err != nil {
+		return classOut{}, err
+	}
+	return condense(res), nil
 }
 
 // checkAgainstReference compares a Run's fleet-level outcome with

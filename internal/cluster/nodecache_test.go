@@ -285,9 +285,12 @@ func TestNodeClassesDigestGrouping(t *testing.T) {
 	total, _ := horizonEpochs(quickOpts().WithDefaults())
 	plan := &faults.FleetPlan{}
 	sched := supervise(plan, placement, cfg.Spec, false, total)
-	units, slots := groupUnits(&cfg, plan, sched, quickOpts(), 0.8)
+	units, trajs, slots := groupUnits(&cfg, plan, sched, quickOpts(), 0.8)
 	if len(units) != distinct {
 		t.Fatalf("grouped %d nodes into %d units, want %d", len(placement), len(units), distinct)
+	}
+	if len(trajs) != distinct {
+		t.Fatalf("grouped %d units into %d trajectories, want %d (one window each)", len(units), len(trajs), distinct)
 	}
 	if len(slots) != len(placement) {
 		t.Fatalf("%d slots for %d nodes", len(slots), len(placement))

@@ -184,7 +184,7 @@ func corruptWindows(ws []sched.AppWindow) string {
 }
 
 // Run drives the engine under the strategy for warm-up plus the measured
-// horizon and aggregates the results.
+// horizon and aggregates the results: RunHorizons with a single horizon.
 //
 // Run degrades instead of dying: a strategy panic holds the in-force
 // allocation, a mid-run allocation rejection is retried and then replaced
@@ -195,37 +195,94 @@ func corruptWindows(ws []sched.AppWindow) string {
 // (an initial allocation the node rejects), which is a configuration error
 // rather than a runtime fault.
 func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	res, err := RunHorizons(engine, strategy, []Options{opts})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// horizon is one measurement window RunHorizons cuts from the shared
+// simulation: its epoch bounds, its run mark, and its accumulators.
+type horizon struct {
+	// warm and total bound the measured epochs [warm, total); markAt is
+	// the epoch before which the engine run mark is taken — warm, or 0
+	// when the horizon measures nothing, whose run-level aggregates then
+	// span the whole run.
+	warm, total, markAt int
+	mark                int
+	apps                []appAccum // by spec index
+	elcSum, ebeSum      float64
+	esSum               float64
+	measured            int
+	res                 *Result
+}
+
+// appAccum accumulates one application's measured windows.
+type appAccum struct {
+	p95   []float64
+	ipc   []float64
+	compl int
+	drops int
+	viol  int
+}
+
+// measures reports whether epoch lies in the horizon's measured range.
+func (h *horizon) measures(epoch int) bool { return epoch >= h.warm && epoch < h.total }
+
+// RunHorizons drives the engine under the strategy once, to the longest of
+// the horizons, and returns one result per horizon. The horizon only
+// decides where measurement starts (the warm-up end, a run mark on the
+// engine) and stops; it never reaches the engine's dynamics or the
+// strategy. So result i is bit-identical to Run on a fresh engine and
+// strategy with opts[i], while the shared prefix is simulated once. Every
+// horizon must agree on EpochMs, RI and RecordTimeline after defaults.
+//
+// A horizon's result covers exactly its own epochs: the measured sums and
+// counters of its window, DegradedEpochs, incidents and timeline over
+// [0, total), and the run-level latencies, IPCs and final allocation as of
+// its last epoch.
+func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Result, error) {
+	if len(opts) == 0 {
+		return nil, fmt.Errorf("core: no horizons to run")
+	}
+	base := opts[0].withDefaults()
+	hs := make([]horizon, len(opts))
+	last := 0
+	for i, o := range opts {
+		o = o.withDefaults()
+		if o.EpochMs != base.EpochMs || o.RI != base.RI || o.RecordTimeline != base.RecordTimeline {
+			return nil, fmt.Errorf("core: horizon %d disagrees with horizon 0 on EpochMs, RI or RecordTimeline", i)
+		}
+		h := &hs[i]
+		h.total = int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
+		h.warm = int(math.Ceil(o.WarmupMs / o.EpochMs))
+		if h.warm < h.total {
+			h.markAt = h.warm
+		}
+		last = max(last, h.total)
+	}
+
 	specs := engine.AppSpecs()
-	res := &Result{Strategy: strategy.Name()}
+	name := strategy.Name()
+	var incidents []Incident
 	alloc, initPanic := safeInit(strategy, engine.Spec(), specs)
 	if initPanic != "" {
 		// Degrade to the allocation already in force (the engine starts
 		// unmanaged), the safest state we can guarantee exists.
-		res.Incidents = append(res.Incidents, Incident{Epoch: -1, Kind: IncidentStrategyPanic, Detail: initPanic})
+		incidents = append(incidents, Incident{Epoch: -1, Kind: IncidentStrategyPanic, Detail: initPanic})
 		alloc = engine.Allocation()
 	}
 	if err := engine.SetAllocation(alloc); err != nil {
-		return nil, fmt.Errorf("core: %s initial allocation rejected: %w", strategy.Name(), err)
+		return nil, fmt.Errorf("core: %s initial allocation rejected: %w", name, err)
 	}
-	sys := entropy.System{RI: opts.RI}
-
-	totalEpochs := int(math.Ceil((opts.WarmupMs + opts.DurationMs) / opts.EpochMs))
-	warmEpochs := int(math.Ceil(opts.WarmupMs / opts.EpochMs))
-
-	type accum struct {
-		p95   []float64
-		ipc   []float64
-		compl int
-		drops int
-		viol  int
+	sys := entropy.System{RI: base.RI}
+	for i := range hs {
+		hs[i].apps = make([]appAccum, len(specs))
+		hs[i].res = &Result{Strategy: name}
 	}
-	acc := make(map[string]*accum, len(specs))
-	for _, s := range specs {
-		acc[s.Name] = &accum{}
-	}
-	var esSum, elcSum, ebeSum float64
-	measured := 0
+	var timeline []EpochRecord
+	degradedEpochs := 0
 
 	// Degradation state: the last allocation the node accepted, the last
 	// healthy telemetry (held over fault epochs), and the retry/backoff
@@ -236,28 +293,30 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 	lastNowMs := engine.NowMs()
 	rejectStreak, backoffLen, backoffUntil := 0, 0, 0
 
-	for epoch := 0; epoch < totalEpochs; epoch++ {
-		if epoch == warmEpochs {
-			engine.ResetRunStats()
+	for epoch := 0; epoch < last; epoch++ {
+		for i := range hs {
+			if hs[i].markAt == epoch {
+				hs[i].mark = engine.MarkRun()
+			}
 		}
-		epochIncidents := len(res.Incidents)
-		windows := engine.RunWindow(opts.EpochMs)
+		epochIncidents := len(incidents)
+		windows := engine.RunWindow(base.EpochMs)
 		nowMs := engine.NowMs()
 
 		winOK := true
 		switch {
 		case len(windows) == 0:
 			winOK = false
-			res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+			incidents = append(incidents, Incident{Epoch: epoch,
 				Kind: IncidentTelemetryDropped, Detail: "no windows delivered"})
 		case nowMs <= lastNowMs:
 			winOK = false
-			res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+			incidents = append(incidents, Incident{Epoch: epoch,
 				Kind: IncidentTelemetryStale, Detail: fmt.Sprintf("window timestamp %.0f ms did not advance", nowMs)})
 		default:
 			if why := corruptWindows(windows); why != "" {
 				winOK = false
-				res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+				incidents = append(incidents, Incident{Epoch: epoch,
 					Kind: IncidentTelemetryCorrupt, Detail: why})
 			}
 		}
@@ -279,7 +338,7 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 				// previous value so strategies never see NaN mid-run.
 				tel.TelemetryOK = false
 				tel.ELC, tel.EBE, tel.ES = heldELC, heldEBE, heldES
-				res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+				incidents = append(incidents, Incident{Epoch: epoch,
 					Kind: IncidentEntropyHeld, Detail: err.Error()})
 			}
 			heldApps = tel.Apps
@@ -291,52 +350,58 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 			tel.ELC, tel.EBE, tel.ES = heldELC, heldEBE, heldES
 		}
 
-		inMeasure := epoch >= warmEpochs
-		entropyOK := winOK && tel.TelemetryOK
-		if inMeasure && entropyOK {
-			elcSum += tel.ELC
-			ebeSum += tel.EBE
-			esSum += tel.ES
-			measured++
-		}
-
 		// Per-application accumulation only for genuinely fresh windows;
 		// held (replayed) observations must not be double counted.
 		violations := 0
 		queued, dropped := 0, 0
 		if winOK {
 			for _, w := range tel.Apps {
-				a := acc[w.Spec.Name]
 				if w.Spec.Class == workload.LC {
 					queued += w.QueueLen
 					dropped += w.Dropped
-					if inMeasure {
-						if !math.IsNaN(w.P95Ms) {
-							a.p95 = append(a.p95, w.P95Ms)
-						}
-						a.compl += w.Completed
-						a.drops += w.Dropped
-						if w.Violates() {
-							a.viol++
-							violations++
-						}
-					} else if w.Violates() {
+					if w.Violates() {
 						violations++
 					}
-				} else if inMeasure {
-					a.ipc = append(a.ipc, w.IPC)
 				}
 			}
 		}
-		if inMeasure {
-			res.Epochs++
-			res.TotalViolationEpochs += violations
+		entropyOK := winOK && tel.TelemetryOK
+		for i := range hs {
+			h := &hs[i]
+			if !h.measures(epoch) {
+				continue
+			}
+			if entropyOK {
+				h.elcSum += tel.ELC
+				h.ebeSum += tel.EBE
+				h.esSum += tel.ES
+				h.measured++
+			}
+			if winOK {
+				for j, w := range tel.Apps {
+					a := &h.apps[j]
+					if w.Spec.Class != workload.LC {
+						a.ipc = append(a.ipc, w.IPC)
+						continue
+					}
+					if !math.IsNaN(w.P95Ms) {
+						a.p95 = append(a.p95, w.P95Ms)
+					}
+					a.compl += w.Completed
+					a.drops += w.Dropped
+					if w.Violates() {
+						a.viol++
+					}
+				}
+			}
+			h.res.Epochs++
+			h.res.TotalViolationEpochs += violations
 		}
 
 		cur := engine.Allocation()
 		next, panicMsg := safeDecide(strategy, tel, cur)
 		if panicMsg != "" {
-			res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+			incidents = append(incidents, Incident{Epoch: epoch,
 				Kind: IncidentStrategyPanic, Detail: panicMsg})
 			next = cur // hold the in-force allocation
 		}
@@ -350,18 +415,20 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 			} else if err := engine.SetAllocation(next); err == nil {
 				rejectStreak, backoffLen = 0, 0
 				lastGood = engine.Allocation()
-				if inMeasure {
-					res.Adjustments++
+				for i := range hs {
+					if hs[i].measures(epoch) {
+						hs[i].res.Adjustments++
+					}
 				}
 			} else {
 				adjusted = false
 				rejectStreak++
-				res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+				incidents = append(incidents, Incident{Epoch: epoch,
 					Kind: IncidentAllocationRejected, Detail: err.Error()})
 				if rejectStreak >= maxApplyRetries {
 					rejectStreak = 0
 					if fbErr := engine.SetAllocation(lastGood); fbErr != nil {
-						res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
+						incidents = append(incidents, Incident{Epoch: epoch,
 							Kind: IncidentFallbackRejected, Detail: fbErr.Error()})
 						if backoffLen == 0 {
 							backoffLen = 1
@@ -375,12 +442,12 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 				}
 			}
 		}
-		degraded := suppressed || len(res.Incidents) > epochIncidents
+		degraded := suppressed || len(incidents) > epochIncidents
 		if degraded {
-			res.DegradedEpochs++
+			degradedEpochs++
 		}
-		if opts.RecordTimeline {
-			res.Timeline = append(res.Timeline, EpochRecord{
+		if base.RecordTimeline {
+			timeline = append(timeline, EpochRecord{
 				TimeMs:       tel.TimeMs,
 				Apps:         tel.Apps,
 				ELC:          tel.ELC,
@@ -393,28 +460,55 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 				DroppedTotal: dropped,
 				TelemetryOK:  tel.TelemetryOK,
 				Degraded:     degraded,
-				Incidents:    res.Incidents[epochIncidents:len(res.Incidents):len(res.Incidents)],
+				Incidents:    incidents[epochIncidents:len(incidents):len(incidents)],
 			})
+		}
+
+		for i := range hs {
+			h := &hs[i]
+			if h.total != epoch+1 {
+				continue
+			}
+			res := h.res
+			res.DegradedEpochs = degradedEpochs
+			res.Incidents = incidents[:len(incidents):len(incidents)]
+			if timeline != nil {
+				res.Timeline = timeline[:len(timeline):len(timeline)]
+			}
+			h.finish(engine, specs, sys)
+			engine.ReleaseRun(h.mark)
 		}
 	}
 
-	if measured > 0 {
-		res.MeanELC = elcSum / float64(measured)
-		res.MeanEBE = ebeSum / float64(measured)
-		res.MeanES = esSum / float64(measured)
+	out := make([]*Result, len(hs))
+	for i := range hs {
+		out[i] = hs[i].res
+	}
+	return out, nil
+}
+
+// finish completes the horizon's result at its last epoch: the mean
+// entropies over its measured epochs, and the run-level summaries and
+// entropies from the engine's aggregates since its mark.
+func (h *horizon) finish(engine Engine, specs []sched.AppSpec, sys entropy.System) {
+	res := h.res
+	if h.measured > 0 {
+		res.MeanELC = h.elcSum / float64(h.measured)
+		res.MeanEBE = h.ebeSum / float64(h.measured)
+		res.MeanES = h.esSum / float64(h.measured)
 	}
 
 	// Run-level summaries and entropies from mean latencies/IPCs.
 	var lcRun []entropy.LCSample
 	var beRun []entropy.BESample
-	for _, s := range specs {
-		a := acc[s.Name]
+	for j, s := range specs {
+		a := &h.apps[j]
 		ar := AppResult{Spec: s}
 		if s.Class == workload.LC {
 			// Run-level tail latency is the exact percentile over every
 			// completion in the measured horizon; the windowed mean is a
 			// fallback for starved runs.
-			ar.MeanP95Ms = engine.RunP95(s.Name)
+			ar.MeanP95Ms = engine.RunP95(s.Name, h.mark)
 			if math.IsNaN(ar.MeanP95Ms) {
 				ar.MeanP95Ms = metrics.Mean(a.p95)
 			}
@@ -428,7 +522,7 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 				lcRun = append(lcRun, ar.LCSample)
 			}
 		} else {
-			ar.MeanIPC = engine.RunIPC(s.Name)
+			ar.MeanIPC = engine.RunIPC(s.Name, h.mark)
 			if math.IsNaN(ar.MeanIPC) {
 				ar.MeanIPC = metrics.Mean(a.ipc)
 			}
@@ -446,7 +540,6 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 		res.Yield = y
 	}
 	res.FinalAllocation = engine.Allocation()
-	return res, nil
 }
 
 // SamplesFromWindows converts epoch telemetry into entropy inputs, skipping

@@ -29,11 +29,16 @@ type Engine interface {
 	RunWindow(windowMs float64) []sched.AppWindow
 	// NowMs is the timestamp of the most recent observation.
 	NowMs() float64
-	// ResetRunStats clears the run-level accumulators at warm-up end.
-	ResetRunStats()
-	// RunP95 and RunIPC report run-level aggregates since ResetRunStats.
-	RunP95(app string) float64
-	RunIPC(app string) float64
+	// MarkRun starts a run-level measurement now and returns its mark;
+	// the controller takes one at each warm-up end. Several marks may be
+	// live at once (RunHorizons measures several windows of one
+	// simulation), and the node keeps the completions of the earliest.
+	MarkRun() int
+	// ReleaseRun ends a mark, letting the node drop what only it needed.
+	ReleaseRun(mark int)
+	// RunP95 and RunIPC report run-level aggregates since mark.
+	RunP95(app string, mark int) float64
+	RunIPC(app string, mark int) float64
 }
 
 var _ Engine = (*sim.Engine)(nil)

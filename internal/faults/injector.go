@@ -85,14 +85,17 @@ func (e *Engine) AppSpecs() []sched.AppSpec { return e.inner.AppSpecs() }
 // Allocation implements core.Engine.
 func (e *Engine) Allocation() machine.Allocation { return e.inner.Allocation() }
 
-// ResetRunStats implements core.Engine.
-func (e *Engine) ResetRunStats() { e.inner.ResetRunStats() }
+// MarkRun implements core.Engine.
+func (e *Engine) MarkRun() int { return e.inner.MarkRun() }
+
+// ReleaseRun implements core.Engine.
+func (e *Engine) ReleaseRun(mark int) { e.inner.ReleaseRun(mark) }
 
 // RunP95 implements core.Engine.
-func (e *Engine) RunP95(app string) float64 { return e.inner.RunP95(app) }
+func (e *Engine) RunP95(app string, mark int) float64 { return e.inner.RunP95(app, mark) }
 
 // RunIPC implements core.Engine.
-func (e *Engine) RunIPC(app string) float64 { return e.inner.RunIPC(app) }
+func (e *Engine) RunIPC(app string, mark int) float64 { return e.inner.RunIPC(app, mark) }
 
 // NowMs implements core.Engine; during a stale-replay epoch it reports the
 // replayed snapshot's timestamp, which is how the controller detects it.

@@ -130,11 +130,11 @@ func simulateSolo(t *testing.T, cores int, load float64) float64 {
 	for e.NowMs() < 3_000 {
 		e.RunWindow(500)
 	}
-	e.ResetRunStats()
+	mark := e.MarkRun()
 	for e.NowMs() < 15_000 {
 		e.RunWindow(500)
 	}
-	return e.RunP95("xapian")
+	return e.RunP95("xapian", mark)
 }
 
 func TestMaxLoadOrdering(t *testing.T) {

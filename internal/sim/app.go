@@ -99,10 +99,10 @@ type appState struct {
 	qHead   int
 	offered int // arrivals this window, including drops
 	dropped int // arrivals this window rejected by the client queue cap
-	// lat holds the latency of every request completed since the last
-	// Engine.ResetRunStats, in completion order; the open monitoring
-	// window is lat[winStart:]. One buffer serves both the per-window
-	// tail (snapshot) and the run-level p95 (RunP95).
+	// lat holds the latency of every request completed since the earliest
+	// live run mark (Engine.MarkRun), in completion order; the open
+	// monitoring window is lat[winStart:]. One buffer serves both the
+	// per-window tail (snapshot) and the run-level p95 (RunP95).
 	lat      []float64
 	winStart int
 	// nextIssue holds each closed-loop user's next request time (empty
@@ -111,9 +111,11 @@ type appState struct {
 
 	// BE state.
 	workWin metrics.WorkWindow
-	// runWork and runMs accumulate BE work across windows.
-	runWork float64
-	runMs   float64
+
+	// runs holds this application's share of every run mark, indexed by
+	// mark (Engine.MarkRun): where its completions start in lat and the
+	// BE work and time accumulated since.
+	runs []appRun
 
 	// Per-tick contention scratch, recomputed by the engine.
 	activeThreads  int
@@ -158,6 +160,14 @@ type appState struct {
 	// draw across ticks (see poissonDraw).
 	pLambdaBits   uint64
 	pExpNegLambda float64
+}
+
+// appRun is one application's state under one run mark.
+type appRun struct {
+	// off indexes the first completion since the mark in lat (LC).
+	off int
+	// work and ms accumulate BE work and elapsed time since the mark.
+	work, ms float64
 }
 
 // pending returns the requests waiting for service, oldest dispatch

@@ -47,7 +47,7 @@ func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
 	for e.NowMs() < 3_000 {
 		e.RunWindow(500)
 	}
-	e.ResetRunStats()
+	e.MarkRun()
 	for e.NowMs() < 23_000 {
 		e.RunWindow(500)
 	}
@@ -95,7 +95,7 @@ func TestClosedLoopMoreUsersMoreLoad(t *testing.T) {
 		for e.NowMs() < 2_000 {
 			e.RunWindow(500)
 		}
-		e.ResetRunStats()
+		e.MarkRun()
 		for e.NowMs() < 10_000 {
 			e.RunWindow(500)
 		}

@@ -300,12 +300,18 @@ func growScratchReq(buf *[]bwReq, n int) []bwReq {
 func (e *Engine) progress(dt, tickEnd float64) {
 	for _, a := range e.apps {
 		if a.class == workload.BE {
+			// A starved tick adds +0 work, which leaves every (non-negative)
+			// run total exactly as skipping the addition would.
+			work := 0.0
 			if a.totalCoreShare > 0 && a.slowdown > 0 {
-				work := a.totalCoreShare * dt / a.slowdown
+				work = a.totalCoreShare * dt / a.slowdown
 				a.workWin.Add(work)
-				a.runWork += work
 			}
-			a.runMs += dt
+			for m := range a.runs {
+				r := &a.runs[m]
+				r.work += work
+				r.ms += dt
+			}
 			continue
 		}
 		if a.pendingLen() == 0 {

@@ -36,11 +36,11 @@ func measure(e *Engine, beName string) (float64, float64) {
 	for e.NowMs() < 3_000 {
 		e.RunWindow(500)
 	}
-	e.ResetRunStats()
+	mark := e.MarkRun()
 	for e.NowMs() < 15_000 {
 		e.RunWindow(500)
 	}
-	return e.RunP95("xapian"), e.RunIPC(beName)
+	return e.RunP95("xapian", mark), e.RunIPC(beName, mark)
 }
 
 func TestStreamInterferesMoreThanFluidanimate(t *testing.T) {
@@ -114,11 +114,11 @@ func TestMoreWaysHelpCacheSensitiveApp(t *testing.T) {
 		for e.NowMs() < 3_000 {
 			e.RunWindow(500)
 		}
-		e.ResetRunStats()
+		mark := e.MarkRun()
 		for e.NowMs() < 12_000 {
 			e.RunWindow(500)
 		}
-		return e.RunP95("img-dnn")
+		return e.RunP95("img-dnn", mark)
 	}
 	narrow, wide := p95(1), p95(10)
 	if wide >= narrow {
@@ -160,7 +160,7 @@ func TestRepartitionWarmupCostsLatency(t *testing.T) {
 		for e.NowMs() < 2_000 {
 			e.RunWindow(500)
 		}
-		e.ResetRunStats()
+		mark := e.MarkRun()
 		i := 0
 		for e.NowMs() < 12_000 {
 			e.RunWindow(500)
@@ -175,7 +175,7 @@ func TestRepartitionWarmupCostsLatency(t *testing.T) {
 				}
 			}
 		}
-		return e.RunP95("xapian")
+		return e.RunP95("xapian", mark)
 	}
 	stable, flapping := runWith(false), runWith(true)
 	if flapping <= stable {

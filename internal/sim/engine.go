@@ -94,6 +94,10 @@ type Engine struct {
 	everyTickArrivals bool
 	// noFastForward mirrors Config.DisableFastForward.
 	noFastForward bool
+
+	// marks flags which run marks (MarkRun) are live, by mark. Released
+	// marks are reused by the next MarkRun.
+	marks []bool
 }
 
 // New validates the configuration and builds an engine. The engine starts
@@ -360,16 +364,18 @@ func (e *Engine) fastForward(to int64) {
 		if a.class != workload.BE {
 			continue
 		}
+		work := 0.0 // +0 on a starved tick, as in progress
 		if a.totalCoreShare > 0 && a.slowdown > 0 {
-			work := a.totalCoreShare * dt / a.slowdown
+			work = a.totalCoreShare * dt / a.slowdown
 			for i := int64(0); i < n; i++ {
 				a.workWin.Add(work)
-				a.runWork += work
-				a.runMs += dt
 			}
-		} else {
+		}
+		for m := range a.runs {
+			r := &a.runs[m]
 			for i := int64(0); i < n; i++ {
-				a.runMs += dt
+				r.work += work
+				r.ms += dt
 			}
 		}
 	}
@@ -478,42 +484,109 @@ func (e *Engine) QueueLen(app string) int {
 	return 0
 }
 
-// ResetRunStats clears the cumulative run-level accumulators; the
-// controller calls it when the warm-up period ends. The open window's
-// latencies are kept (slid to the front of the buffer): they still belong
-// to the next RunWindow observation.
-func (e *Engine) ResetRunStats() {
+// MarkRun starts a run-level measurement at the current time and returns
+// its mark; RunP95 and RunIPC then report over everything since it, until
+// ReleaseRun. The open window's latencies belong to the mark: they are
+// completions since it that the next RunWindow observation will report.
+//
+// Any number of marks may be live at once: the controller's RunHorizons
+// cuts several measurement windows from one simulation. The latency buffer
+// keeps completions from the earliest live mark on, so a mark taken while
+// no other is live drops every closed window, exactly as a reset would.
+func (e *Engine) MarkRun() int {
+	e.trimRuns()
+	m := 0
+	for m < len(e.marks) && e.marks[m] {
+		m++
+	}
+	if m == len(e.marks) {
+		e.marks = append(e.marks, false)
+	}
+	e.marks[m] = true
 	for _, a := range e.apps {
-		a.lat = a.lat[:copy(a.lat, a.lat[a.winStart:])]
-		a.winStart = 0
-		a.runWork = 0
-		a.runMs = 0
+		if m == len(a.runs) {
+			a.runs = append(a.runs, appRun{})
+		}
+		a.runs[m] = appRun{off: a.winStart}
+	}
+	return m
+}
+
+// ReleaseRun ends a mark; completions no live mark covers are dropped.
+// Releasing a mark that is not live is a no-op.
+func (e *Engine) ReleaseRun(mark int) {
+	if mark < 0 || mark >= len(e.marks) || !e.marks[mark] {
+		return
+	}
+	e.marks[mark] = false
+	e.trimRuns()
+}
+
+// trimRuns slides each latency buffer down to the earliest live mark (the
+// open window when none is live), rebasing the live marks' offsets. It is
+// a no-op unless a window closed with no mark live or the earliest mark
+// was released: otherwise the earliest live mark already sits at 0.
+func (e *Engine) trimRuns() {
+	for _, a := range e.apps {
+		keep := a.winStart
+		for m, live := range e.marks {
+			if live && a.runs[m].off < keep {
+				keep = a.runs[m].off
+			}
+		}
+		if keep == 0 {
+			continue
+		}
+		a.lat = a.lat[:copy(a.lat, a.lat[keep:])]
+		a.winStart -= keep
+		for m, live := range e.marks {
+			if live {
+				a.runs[m].off -= keep
+			}
+		}
 	}
 }
 
-// RunP95 returns the exact p95 over every request completed since the last
-// ResetRunStats (NaN if none completed). For a starved application with a
-// non-empty backlog it returns the age of the oldest waiting request, the
-// same lower bound the per-window telemetry reports.
-func (e *Engine) RunP95(app string) float64 {
+// RunP95 returns the exact p95 over every request completed since mark,
+// which must be live (NaN if none completed). For a starved application with a non-empty
+// backlog it returns the age of the oldest waiting request, the same lower
+// bound the per-window telemetry reports.
+func (e *Engine) RunP95(app string, mark int) float64 {
 	i, ok := e.byIdx[app]
 	if !ok {
 		return math.NaN()
 	}
 	a := e.apps[i]
-	if len(a.lat) == 0 {
+	off := a.runs[mark].off
+	run := a.lat[off:]
+	if len(run) == 0 {
 		return a.oldestAgeMs(e.nowMs)
 	}
-	if a.winStart == len(a.lat) {
-		// No window is open (always the case between RunWindow calls):
-		// in-place selection reorders lat but preserves its multiset, so
-		// repeated RunP95 calls (and any later percentile) are unaffected,
-		// and the run-length copy the out-of-place form would make is not.
-		return metrics.PercentileInPlace(a.lat, 0.95)
+	if a.winStart == len(a.lat) && !e.markInside(a, off) {
+		// No window is open (always the case between RunWindow calls) and
+		// no other live mark starts inside the run: in-place selection
+		// reorders the run's latencies but preserves their multiset, and
+		// every later reader — a later RunP95 over this mark or one whose
+		// run contains this one — depends on the multiset only. So
+		// repeated calls are unaffected, and the run-length copy the
+		// out-of-place form would make is not paid.
+		return metrics.PercentileInPlace(run, 0.95)
 	}
 	// Select on a copy so the open window's latencies stay in completion
-	// order and its mean keeps its summation order.
-	return metrics.Percentile(a.lat, 0.95)
+	// order (its mean keeps its summation order) and a later mark's run
+	// keeps its multiset.
+	return metrics.Percentile(run, 0.95)
+}
+
+// markInside reports whether a live mark's run starts strictly after off
+// in a's latency buffer.
+func (e *Engine) markInside(a *appState, off int) bool {
+	for m, live := range e.marks {
+		if live && a.runs[m].off > off {
+			return true
+		}
+	}
+	return false
 }
 
 // Release returns the engine's per-application buffers (random sources,
@@ -528,17 +601,17 @@ func (e *Engine) Release() {
 	e.apps = nil
 }
 
-// RunIPC returns the average IPC over the period since the last
-// ResetRunStats (NaN before any time has elapsed; LC applications return
-// NaN).
-func (e *Engine) RunIPC(app string) float64 {
+// RunIPC returns the average IPC since mark, which must be live (NaN
+// before any time has elapsed; LC applications return NaN).
+func (e *Engine) RunIPC(app string, mark int) float64 {
 	i, ok := e.byIdx[app]
 	if !ok || e.apps[i].class != workload.BE {
 		return math.NaN()
 	}
 	a := e.apps[i]
-	if a.runMs <= 0 {
+	r := a.runs[mark]
+	if r.ms <= 0 {
 		return math.NaN()
 	}
-	return a.cfg.BE.SoloIPC * a.runWork / (float64(a.threads()) * a.runMs)
+	return a.cfg.BE.SoloIPC * r.work / (float64(a.threads()) * r.ms)
 }

@@ -31,12 +31,12 @@ func run(e *Engine, warmMs, measureMs float64) float64 {
 	for e.NowMs() < warmMs {
 		e.RunWindow(500)
 	}
-	e.ResetRunStats()
+	mark := e.MarkRun()
 	end := e.NowMs() + measureMs
 	for e.NowMs() < end {
 		e.RunWindow(500)
 	}
-	return e.RunP95(e.AppNames()[0])
+	return e.RunP95(e.AppNames()[0], mark)
 }
 
 func TestSoloLowLoadMatchesIdealP95(t *testing.T) {
@@ -145,11 +145,11 @@ func TestBEIPCSoloIsCalibrated(t *testing.T) {
 		for e.NowMs() < 2_000 {
 			e.RunWindow(500)
 		}
-		e.ResetRunStats()
+		mark := e.MarkRun()
 		for e.NowMs() < 6_000 {
 			e.RunWindow(500)
 		}
-		got := e.RunIPC(name)
+		got := e.RunIPC(name, mark)
 		if rel := math.Abs(got-be.SoloIPC) / be.SoloIPC; rel > 0.05 {
 			t.Errorf("%s: solo IPC = %.3f, want %.3f", name, got, be.SoloIPC)
 		}

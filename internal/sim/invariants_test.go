@@ -165,7 +165,7 @@ func TestThroughputNotTickQuantised(t *testing.T) {
 	for e.NowMs() < 2_000 {
 		e.Step()
 	}
-	e.ResetRunStats()
+	e.MarkRun()
 	for e.NowMs() < 8_000 {
 		e.Step()
 	}

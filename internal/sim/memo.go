@@ -227,30 +227,33 @@ func (e *Engine) resolveContention() {
 		return
 	}
 	e.memo.misses++
-	st := e.memo.grab(len(e.apps))
-	for i, a := range e.apps {
-		st[i] = a.capture()
-	}
-	stored := false
+	// A full table takes no more captures: check before grabbing a slice
+	// and copying every application's solve out, which would only be
+	// pushed back onto the freelist.
 	if small {
 		if e.memo.entries64 == nil {
 			e.memo.entries64 = make(map[uint64][]appResolve) //ahqlint:allow hotpath miss-path-only: lazily builds the table once per run
 		}
 		if len(e.memo.entries64) < memoMaxEntries {
-			e.memo.entries64[key64] = st
-			stored = true
+			e.memo.entries64[key64] = e.memo.capture(e.apps)
 		}
 	} else {
 		if e.memo.entries == nil {
 			e.memo.entries = make(map[string][]appResolve) //ahqlint:allow hotpath miss-path-only: lazily builds the table once per run
 		}
 		if len(e.memo.entries) < memoMaxEntries {
-			e.memo.entries[string(e.memo.key)] = st
-			stored = true
+			e.memo.entries[string(e.memo.key)] = e.memo.capture(e.apps)
 		}
 	}
-	if !stored {
-		e.memo.free = append(e.memo.free, st) //ahqlint:allow hotpath miss-path-only: freelist push when a full table rejects a capture
-	}
 	e.memo.noteVector(e.apps)
+}
+
+// capture copies every application's resolver outputs into a (recycled)
+// slice for the table.
+func (m *resolveMemo) capture(apps []*appState) []appResolve {
+	st := m.grab(len(apps))
+	for i, a := range apps {
+		st[i] = a.capture()
+	}
+	return st
 }

@@ -176,3 +176,71 @@ func TestTickTimeIsDerivedNotAccumulated(t *testing.T) {
 	// The two forms genuinely differ at this tick size, so the invariant
 	// above is load-bearing, not vacuous.
 }
+
+// TestMemoFullTableLeavesTableAndFreelist pins the full-table miss path:
+// once the table holds memoMaxEntries, a miss must neither grab a capture
+// slice nor copy the solve out — the table and the freelist stay exactly
+// as they were — while every tick still matches a memo-disabled engine.
+// Both table forms are covered: the packed key of up to memoSmallApps
+// applications and the byte-string key beyond.
+func TestMemoFullTableLeavesTableAndFreelist(t *testing.T) {
+	x, m, i := workload.MustLC("xapian"), workload.MustLC("moses"), workload.MustLC("img-dnn")
+	s, f := workload.MustBE("stream"), workload.MustBE("fluidanimate")
+	small := []AppConfig{
+		{LC: &x, Load: trace.Constant(0.5)},
+		{LC: &m, Load: trace.Constant(0.3)},
+		{BE: &s},
+	}
+	large := append(append([]AppConfig(nil), small...),
+		AppConfig{LC: &i, Load: trace.Constant(0.2)}, AppConfig{BE: &f})
+	for _, apps := range [][]AppConfig{small, large} {
+		build := func() *Engine {
+			e, err := New(Config{Spec: machine.DefaultSpec(), Seed: 11, Apps: apps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		memo, fresh := build(), build()
+		fresh.memo.disabled = true
+		// Fill the table with keys no real vector produces: packed keys
+		// with every 16-bit lane at 0xffff threads, string keys of the
+		// wrong length.
+		if len(apps) <= memoSmallApps {
+			memo.memo.entries64 = make(map[uint64][]appResolve, memoMaxEntries)
+			for k := 0; k < memoMaxEntries; k++ {
+				memo.memo.entries64[^uint64(k)] = nil
+			}
+		} else {
+			memo.memo.entries = make(map[string][]appResolve, memoMaxEntries)
+			for k := 0; k < memoMaxEntries; k++ {
+				memo.memo.entries[string(rune(k))] = nil
+			}
+		}
+		sentinel := make([]appResolve, len(apps))
+		memo.memo.free = [][]appResolve{sentinel}
+		for tick := 0; tick < 400; tick++ {
+			memo.Step()
+			fresh.Step()
+			for j := range memo.apps {
+				if a, b := memo.apps[j].capture(), fresh.apps[j].capture(); a != b {
+					t.Fatalf("%d apps, tick %d, app %d: full-table solve diverged:\nmemo:  %+v\nfresh: %+v", len(apps), tick, j, a, b)
+				}
+			}
+		}
+		if memo.memo.misses == 0 {
+			t.Fatalf("%d apps: no miss at capacity; the test exercised nothing", len(apps))
+		}
+		if n := len(memo.memo.entries64) + len(memo.memo.entries); n != memoMaxEntries {
+			t.Errorf("%d apps: full table changed size to %d", len(apps), n)
+		}
+		if len(memo.memo.free) != 1 || &memo.memo.free[0][0] != &sentinel[0] {
+			t.Errorf("%d apps: the miss path touched the freelist", len(apps))
+		}
+		for _, r := range sentinel {
+			if r != (appResolve{}) {
+				t.Fatalf("%d apps: a solve was captured into a freelist slice", len(apps))
+			}
+		}
+	}
+}

@@ -34,7 +34,7 @@ type reuseRecord struct {
 
 func bits(v float64) uint64 { return math.Float64bits(v) }
 
-// reuseScript drives an engine through warm-up, a run-stats reset, a few
+// reuseScript drives an engine through warm-up, a run mark, a few
 // bare Steps (an open window), RunP95 inside that open window when midP95
 // is set, and measured windows with RunP95 between them.
 func reuseScript(t *testing.T, e *Engine, midP95 bool) reuseRecord {
@@ -48,19 +48,19 @@ func reuseScript(t *testing.T, e *Engine, midP95 bool) reuseRecord {
 	for i := 0; i < 3; i++ {
 		window()
 	}
-	e.ResetRunStats()
+	mark := e.MarkRun()
 	for i := 0; i < 37; i++ {
 		e.Step()
 	}
 	if midP95 {
 		for _, n := range names {
-			rec.p95 = append(rec.p95, bits(e.RunP95(n)))
+			rec.p95 = append(rec.p95, bits(e.RunP95(n, mark)))
 		}
 	}
 	for i := 0; i < 5; i++ {
 		window()
 		for _, n := range names {
-			rec.p95 = append(rec.p95, bits(e.RunP95(n)))
+			rec.p95 = append(rec.p95, bits(e.RunP95(n, mark)))
 		}
 	}
 	alloc := machine.AllShared(e.Spec(), machine.LCPriority, names)
@@ -69,8 +69,8 @@ func reuseScript(t *testing.T, e *Engine, midP95 bool) reuseRecord {
 	}
 	window()
 	for _, n := range names {
-		rec.p95 = append(rec.p95, bits(e.RunP95(n)))
-		rec.ipc = append(rec.ipc, bits(e.RunIPC(n)))
+		rec.p95 = append(rec.p95, bits(e.RunP95(n, mark)))
+		rec.ipc = append(rec.ipc, bits(e.RunIPC(n, mark)))
 	}
 	rec.hits, rec.solves = e.SolveStats()
 	return rec
@@ -150,15 +150,16 @@ func TestReleasedBuffersReproduceFreshEngine(t *testing.T) {
 // in completion order) comes out exactly as without the call.
 func TestRunP95MidWindowLeavesWindowIntact(t *testing.T) {
 	with, without := newReuseEngine(t, 7, 0.6), newReuseEngine(t, 7, 0.6)
+	var mark int
 	for _, e := range []*Engine{with, without} {
 		e.RunWindow(500)
-		e.ResetRunStats()
+		mark = e.MarkRun()
 		for i := 0; i < 37; i++ {
 			e.Step()
 		}
 	}
 	for _, n := range with.AppNames() {
-		with.RunP95(n)
+		with.RunP95(n, mark)
 	}
 	for i, a := range with.apps {
 		b := without.apps[i]
