@@ -14,7 +14,7 @@
 #   md5-quick  - check `ahqbench -all -quick` stdout against results/quick.md5
 #   md5-full   - check full-horizon `ahqbench -all` stdout against
 #                results/full.md5 (~50 s on a 2-CPU box)
-#   fuzz       - fuzz the percentile estimators
+#   fuzz       - fuzz the percentile estimators and the fault-plan DSLs
 #   clean      - remove generated results
 
 GO ?= go
@@ -73,6 +73,8 @@ md5-full:
 fuzz:
 	$(GO) test -fuzz FuzzP2VsExact -fuzztime 20s ./internal/metrics/
 	$(GO) test -fuzz FuzzPercentile -fuzztime 20s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
 
 clean:
 	rm -rf results

@@ -402,12 +402,21 @@ func denseEngine(b *testing.B, loadFrac float64) *sim.Engine {
 // tick-loop cost, and draining (untimed) keeps the window accumulators at
 // their realistic steady-state size instead of growing without bound over
 // b.N ticks.
-func benchDenseTicks(b *testing.B, loadFrac float64) {
+//
+// With repartition set, each window boundary also applies the other of two
+// allocations that differ by one LLC way moved between the first isolated
+// region and the shared one, as a controller re-partitioning every epoch
+// does. That re-allocation (and the warm-up it opens) is timed: it is the
+// regime the dense node runs in under ARQ.
+func benchDenseTicks(b *testing.B, loadFrac float64, repartition bool) {
 	e := denseEngine(b, loadFrac)
+	allocs := [2]machine.Allocation{e.Allocation(), e.Allocation()}
+	allocs[1].Regions[0].Ways--
+	allocs[1].Regions[len(allocs[1].Regions)-1].Ways++
 	mark := e.MarkRun()
 	b.ReportAllocs()
 	b.ResetTimer()
-	ticks := 0
+	ticks, windows := 0, 0
 	for n := 0; n < b.N; n++ {
 		e.Step()
 		if ticks++; ticks == 500 {
@@ -417,6 +426,12 @@ func benchDenseTicks(b *testing.B, loadFrac float64) {
 			e.ReleaseRun(mark)
 			mark = e.MarkRun()
 			b.StartTimer()
+			if repartition {
+				windows++
+				if err := e.SetAllocation(allocs[windows%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }
@@ -424,12 +439,12 @@ func benchDenseTicks(b *testing.B, loadFrac float64) {
 // BenchmarkEngineTickDense measures the per-tick cost at the dense-node
 // configuration under moderate steady load, the common case the resolver
 // memo targets.
-func BenchmarkEngineTickDense(b *testing.B) { benchDenseTicks(b, 0.6) }
+func BenchmarkEngineTickDense(b *testing.B) { benchDenseTicks(b, 0.6, false) }
 
 // BenchmarkEngineTickDenseOverload measures the per-tick cost at the dense
 // configuration with every LC application past saturation: queues are deep,
 // so request dispatch dominates the tick.
-func BenchmarkEngineTickDenseOverload(b *testing.B) { benchDenseTicks(b, 1.2) }
+func BenchmarkEngineTickDenseOverload(b *testing.B) { benchDenseTicks(b, 1.2, false) }
 
 // BenchmarkEngineTickDenseLight measures the tick loop's fixed overhead:
 // at light load most ticks carry little request traffic, so the cost is
@@ -437,7 +452,13 @@ func BenchmarkEngineTickDenseOverload(b *testing.B) { benchDenseTicks(b, 1.2) }
 // iteration, and slowdown math that the topology index and solve memo
 // remove. This is the paper-agnostic cost every simulated millisecond pays
 // regardless of traffic, and the dense-node scaling bottleneck.
-func BenchmarkEngineTickDenseLight(b *testing.B) { benchDenseTicks(b, 0.15) }
+func BenchmarkEngineTickDenseLight(b *testing.B) { benchDenseTicks(b, 0.15, false) }
+
+// BenchmarkEngineTickDenseRepartition is BenchmarkEngineTickDenseLight
+// under a controller that moves one LLC way every 500-tick epoch, as ARQ
+// does on the dense node: every epoch clears the solve memo and opens a
+// cache warm-up, so the per-tick cost is mostly fresh contention solves.
+func BenchmarkEngineTickDenseRepartition(b *testing.B) { benchDenseTicks(b, 0.15, true) }
 
 // BenchmarkEntropyCompute measures the metric itself: the per-epoch cost a
 // production controller would pay.

@@ -146,8 +146,10 @@ type FleetStats struct {
 	// with a window the NodeCache did not replay (plus one per trajectory
 	// that re-simulates windows whose racing claimant failed).
 	NodesSimulated int
-	// MemoHits are per-engine memo hits, Solves are full fixed-point
-	// solves, summed over the engines actually driven.
+	// MemoHits are ticks an engine served without running its contention
+	// resolvers (memo hits, fast-forwarded ticks); Solves are resolver
+	// runs (full fixed-point solves, warm-up ticks included). Summed over
+	// the engines actually driven, MemoHits + Solves is their tick count.
 	MemoHits, Solves uint64
 	// NodeCacheHits counts units whose window was replayed from
 	// Config.NodeCache instead of being simulated.

@@ -260,7 +260,8 @@ func parseSelector(s string) (Selector, error) {
 	case "nodes":
 		if pctStr, ok := strings.CutSuffix(val, "%"); ok {
 			pct, err := strconv.ParseFloat(pctStr, 64)
-			if err != nil || pct <= 0 || pct > 100 {
+			// Written so that NaN, which fails every comparison, is rejected.
+			if err != nil || !(pct > 0 && pct <= 100) {
 				return Selector{}, fmt.Errorf("bad percentage %q (want 0 < P <= 100)", val)
 			}
 			return Selector{Node: -1, Percent: pct}, nil

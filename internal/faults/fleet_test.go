@@ -68,6 +68,7 @@ func TestParseFleetRejects(t *testing.T) {
 		"crash@5/nodes=0",       // bad count
 		"crash@5/nodes=0%",      // bad percent
 		"crash@5/nodes=150%",    // percent > 100
+		"crash@5/nodes=NaN%",    // not a percentage
 		"crash@5/node=-2",       // negative node
 		"crash@5/victims=3",     // bad selector key
 		"crash",                 // missing epoch

@@ -392,12 +392,14 @@ func (a *appState) oldestAgeMs(nowMs float64) float64 {
 	return nowMs - oldest
 }
 
-// poissonDraw draws from the application's arrival stream. It is poisson
-// with one addition: exp(-lambda) is cached across ticks, keyed on
-// lambda's exact bit pattern, because under a constant or slowly varying
-// load trace lambda repeats every tick and that exponential is the
-// draw's only transcendental. Any real change in lambda recomputes, so
-// the draw is bit-identical to the uncached form.
+// poissonDraw draws a Poisson variate from the application's arrival
+// stream. Tick-level means are small (a few arrivals per ms at most), so
+// Knuth's method with a normal fallback for large means is plenty.
+// exp(-lambda) is cached across ticks, keyed on lambda's exact bit
+// pattern, because under a constant or slowly varying load trace lambda
+// repeats every tick and that exponential is the draw's only
+// transcendental. Any real change in lambda recomputes, so the draw is
+// bit-identical to the uncached form.
 func (a *appState) poissonDraw(lambda float64) int {
 	if lambda <= 0 {
 		return 0
@@ -410,19 +412,6 @@ func (a *appState) poissonDraw(lambda float64) int {
 		a.pExpNegLambda = math.Exp(-lambda)
 	}
 	return poissonKnuth(a.rng, a.pExpNegLambda)
-}
-
-// poisson draws a Poisson variate. Tick-level means here are small (a few
-// arrivals per ms at most), so Knuth's method with a normal fallback for
-// large means is plenty.
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		return poissonNormal(rng, lambda)
-	}
-	return poissonKnuth(rng, math.Exp(-lambda))
 }
 
 // poissonNormal is the large-mean normal approximation with continuity

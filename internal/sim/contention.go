@@ -152,28 +152,37 @@ func (e *Engine) resolveCache() {
 		if g.Ways == 0 {
 			continue
 		}
-		members := e.scratchMembers[:0]
+		members := e.scratchIdx[:0]
 		for _, ai := range e.topo.shared[si].members {
-			if a := e.apps[ai]; a.activeThreads > 0 {
-				members = append(members, a) //ahqlint:allow hotpath amortized: scratchMembers reuses its backing array across ticks
+			if e.apps[ai].activeThreads > 0 {
+				members = append(members, ai) //ahqlint:allow hotpath amortized: scratchIdx reuses its backing array across ticks
 			}
 		}
-		e.scratchMembers = members
-		if len(members) == 0 {
+		e.scratchIdx = members
+		n := len(members)
+		if n == 0 {
 			continue
 		}
 		w := float64(g.Ways)
 		// Warm-start from an even split and iterate the pressure fixed
-		// point; three rounds are plenty at this granularity.
-		share := growScratch(&e.scratchShare, len(members))
-		pressure := growScratch(&e.scratchPressure, len(members))
+		// point; three rounds are plenty at this granularity. The first
+		// round's miss ratios depend on the allocation and n only, so they
+		// come from the topology.
+		share := growScratch(&e.scratchShare, n)
+		pressure := growScratch(&e.scratchPressure, n)
 		for i := range share {
-			share[i] = w / float64(len(members))
+			share[i] = w / float64(n)
 		}
 		for iter := 0; iter < 3; iter++ {
 			total := 0.0
-			for i, a := range members {
-				miss := a.cache().MissRatio(a.isoWays + share[i])
+			for i, ai := range members {
+				a := e.apps[ai]
+				var miss float64
+				if iter == 0 {
+					miss = e.evenMiss(ai, n, share[i])
+				} else {
+					miss = a.cache().MissRatio(a.isoWays + share[i])
+				}
 				p := float64(a.activeThreads) * a.sens().MemGBpsPerThread * miss
 				if p < 1e-9 {
 					p = 1e-9
@@ -185,16 +194,33 @@ func (e *Engine) resolveCache() {
 				share[i] = w * pressure[i] / total
 			}
 		}
-		for i, a := range members {
-			a.effWays += share[i]
+		for i, ai := range members {
+			e.apps[ai].effWays += share[i]
 		}
 	}
 }
 
-// missRatio returns the application's miss ratio at its current effective
-// ways, including the transient warm-up penalty after repartitioning.
-func (e *Engine) missRatio(a *appState) float64 {
-	m := a.cache().MissRatio(a.effWays)
+// evenMiss returns app ai's miss ratio at its isolated ways plus share,
+// the even split of its shared region among n active members, filling the
+// topology's entry on the first tick with n active members.
+func (e *Engine) evenMiss(ai, n int, share float64) float64 {
+	ta := &e.topo.byApp[ai]
+	if math.IsNaN(ta.evenMiss[n]) {
+		ta.evenMiss[n] = e.apps[ai].cache().MissRatio(ta.isoWays + share)
+	}
+	return ta.evenMiss[n]
+}
+
+// missRatio returns app i's miss ratio at its current effective ways,
+// including the transient warm-up penalty after repartitioning. An app that
+// took no shared ways this tick sits at exactly its isolated ways, whose
+// miss ratio the topology holds.
+func (e *Engine) missRatio(i int, a *appState) float64 {
+	m := e.topo.byApp[i].isoMiss
+	//ahqlint:allow floatcmp exact: equal arguments give MissRatio identical bits, so the reuse is bit-exact
+	if a.effWays != a.isoWays {
+		m = a.cache().MissRatio(a.effWays)
+	}
 	if e.nowMs < a.warmupUntilMs {
 		frac := (a.warmupUntilMs - e.nowMs) / e.tun.WarmupMs
 		m += e.tun.WarmupMissBoost * frac
@@ -215,7 +241,7 @@ func (e *Engine) resolveMemBW() {
 	reqs := growScratchReq(&e.scratchReqs, len(e.apps))
 	miss := growScratch(&e.scratchMiss, len(e.apps))
 	for i, a := range e.apps {
-		miss[i] = e.missRatio(a)
+		miss[i] = e.missRatio(i, a)
 		demand := a.sens().MemGBpsPerThread * miss[i] * a.totalCoreShare
 		isoBW := float64(e.topo.byApp[i].isoBWUnits) * unitGBps
 		granted := math.Min(demand, isoBW)

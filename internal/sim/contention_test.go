@@ -190,7 +190,7 @@ func TestPoissonProperties(t *testing.T) {
 		n := 10_000
 		sum := 0
 		for i := 0; i < n; i++ {
-			k := poisson(e.rng, lam)
+			k := e.poissonDraw(lam)
 			if k < 0 {
 				return false
 			}

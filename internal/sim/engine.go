@@ -72,6 +72,7 @@ type Engine struct {
 
 	// Reusable per-tick scratch for the contention resolvers.
 	scratchMembers  []*appState
+	scratchIdx      []int
 	scratchShare    []float64
 	scratchPressure []float64
 	scratchMiss     []float64

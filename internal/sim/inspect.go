@@ -32,11 +32,14 @@ type AppContention struct {
 	QueueLen int
 }
 
-// SolveStats reports the contention-solve memo counters: per-engine memo
-// hits and full fixed-point solves. The counters are instrumentation for
-// tests and benchmarks, never deterministic output.
+// SolveStats reports the engine's contention-solve counters: ticks served
+// without running the resolvers (memo hits and fast-forwarded ticks) and
+// resolver runs (full fixed-point solves, warm-up and memo-disabled ticks
+// included). Every simulated tick counts exactly once, so hits + solves is
+// the tick count. The counters are instrumentation for tests and
+// benchmarks, never deterministic output.
 func (e *Engine) SolveStats() (hits, solves uint64) {
-	return e.memo.hits, e.memo.misses
+	return e.memo.hits, e.memo.solves
 }
 
 // Contention returns the per-application contention snapshot from the most

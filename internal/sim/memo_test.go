@@ -83,9 +83,9 @@ func TestMemoizedTickMatchesFreshSolve(t *testing.T) {
 	if memo.memo.hits == 0 {
 		t.Fatal("memo never hit; the test exercised nothing")
 	}
-	if fresh.memo.hits != 0 || fresh.memo.misses != 0 {
-		t.Fatalf("disabled memo touched the cache: hits=%d misses=%d",
-			fresh.memo.hits, fresh.memo.misses)
+	if len(fresh.memo.index) != 0 || fresh.memo.hits != 0 {
+		t.Fatalf("disabled memo touched the cache: %d keys, %d hits",
+			len(fresh.memo.index), fresh.memo.hits)
 	}
 }
 
@@ -111,15 +111,16 @@ func TestMemoBypassedDuringWarmup(t *testing.T) {
 	if e.warmupMaxUntilMs <= e.nowMs {
 		t.Fatal("repartition did not open a warm-up window; test is vacuous")
 	}
-	solves := e.memo.hits + e.memo.misses
+	hits := e.memo.hits
 	for e.nowMs < e.warmupMaxUntilMs {
 		e.Step()
 	}
-	if got := e.memo.hits + e.memo.misses; got != solves {
-		t.Errorf("memo consulted %d times during warm-up, want 0", got-solves)
+	if e.memo.hits != hits || len(e.memo.index) != 0 {
+		t.Errorf("memo served %d ticks and holds %d keys after warm-up, want 0 and 0",
+			e.memo.hits-hits, len(e.memo.index))
 	}
 	e.Step()
-	if got := e.memo.hits + e.memo.misses; got == solves {
+	if e.memo.hits == hits && len(e.memo.index) == 0 {
 		t.Error("memo still bypassed after warm-up closed")
 	}
 }
@@ -129,18 +130,19 @@ func TestMemoBypassedDuringWarmup(t *testing.T) {
 // caching new vectors, rather than churning through clear-and-refill.
 func TestMemoStopsStoringAtCapacity(t *testing.T) {
 	e := memoPairEngine(t)
-	e.memo.entries = make(map[string][]appResolve, memoMaxEntries)
+	e.memo.index = make(map[uint64]int32, memoMaxEntries)
 	for i := 0; i < memoMaxEntries; i++ {
-		e.memo.entries[string(rune(i))] = nil
+		e.memo.index[^uint64(i)] = 0
 	}
+	e.memo.entries = []memoEntry{{}}
 	for e.NowMs() < 100 {
 		e.Step()
 	}
-	if len(e.memo.entries) != memoMaxEntries {
-		t.Errorf("full table changed size to %d, want %d kept as-is",
-			len(e.memo.entries), memoMaxEntries)
+	if len(e.memo.index) != memoMaxEntries || len(e.memo.entries) != 1 {
+		t.Errorf("full table changed size to %d keys, %d entries, want %d and 1 kept as-is",
+			len(e.memo.index), len(e.memo.entries), memoMaxEntries)
 	}
-	if e.memo.misses == 0 {
+	if e.memo.solves == 0 {
 		t.Error("no fresh solves recorded at capacity; test is vacuous")
 	}
 }
@@ -178,11 +180,11 @@ func TestTickTimeIsDerivedNotAccumulated(t *testing.T) {
 }
 
 // TestMemoFullTableLeavesTableAndFreelist pins the full-table miss path:
-// once the table holds memoMaxEntries, a miss must neither grab a capture
-// slice nor copy the solve out — the table and the freelist stay exactly
+// once the table holds memoMaxEntries keys, a miss must neither take a
+// slot nor copy the solve out — the table and the spare slots stay exactly
 // as they were — while every tick still matches a memo-disabled engine.
-// Both table forms are covered: the packed key of up to memoSmallApps
-// applications and the byte-string key beyond.
+// Both admission rules are covered: the packed key of up to memoSmallApps
+// applications and the hashed wide key beyond.
 func TestMemoFullTableLeavesTableAndFreelist(t *testing.T) {
 	x, m, i := workload.MustLC("xapian"), workload.MustLC("moses"), workload.MustLC("img-dnn")
 	s, f := workload.MustBE("stream"), workload.MustBE("fluidanimate")
@@ -203,22 +205,21 @@ func TestMemoFullTableLeavesTableAndFreelist(t *testing.T) {
 		}
 		memo, fresh := build(), build()
 		fresh.memo.disabled = true
-		// Fill the table with keys no real vector produces: packed keys
-		// with every 16-bit lane at 0xffff threads, string keys of the
-		// wrong length.
-		if len(apps) <= memoSmallApps {
-			memo.memo.entries64 = make(map[uint64][]appResolve, memoMaxEntries)
-			for k := 0; k < memoMaxEntries; k++ {
-				memo.memo.entries64[^uint64(k)] = nil
-			}
-		} else {
-			memo.memo.entries = make(map[string][]appResolve, memoMaxEntries)
-			for k := 0; k < memoMaxEntries; k++ {
-				memo.memo.entries[string(rune(k))] = nil
-			}
+		// Fill the table with keys no real vector hits: packed keys with
+		// the top 16-bit lane at 0xffff threads, each pointing at a
+		// captured solve with no vector, which a wide lookup (on a hash
+		// collision) must reject and admit must keep.
+		memo.memo.index = make(map[uint64]int32, memoMaxEntries)
+		for k := 0; k < memoMaxEntries; k++ {
+			memo.memo.index[^uint64(k)] = 0
 		}
+		// Slot 0 is the held solve; slot 1, spare capacity that the
+		// next capture would reuse, is the sentinel.
 		sentinel := make([]appResolve, len(apps))
-		memo.memo.free = [][]appResolve{sentinel}
+		memo.memo.entries = []memoEntry{
+			{st: make([]appResolve, len(apps))},
+			{st: sentinel, vec: make([]uint16, len(apps))},
+		}[:1]
 		for tick := 0; tick < 400; tick++ {
 			memo.Step()
 			fresh.Step()
@@ -228,18 +229,15 @@ func TestMemoFullTableLeavesTableAndFreelist(t *testing.T) {
 				}
 			}
 		}
-		if memo.memo.misses == 0 {
+		if memo.memo.solves == 0 {
 			t.Fatalf("%d apps: no miss at capacity; the test exercised nothing", len(apps))
 		}
-		if n := len(memo.memo.entries64) + len(memo.memo.entries); n != memoMaxEntries {
-			t.Errorf("%d apps: full table changed size to %d", len(apps), n)
-		}
-		if len(memo.memo.free) != 1 || &memo.memo.free[0][0] != &sentinel[0] {
-			t.Errorf("%d apps: the miss path touched the freelist", len(apps))
+		if n, m := len(memo.memo.index), len(memo.memo.entries); n != memoMaxEntries || m != 1 {
+			t.Errorf("%d apps: full table changed size to %d keys, %d entries", len(apps), n, m)
 		}
 		for _, r := range sentinel {
 			if r != (appResolve{}) {
-				t.Fatalf("%d apps: a solve was captured into a freelist slice", len(apps))
+				t.Fatalf("%d apps: a solve was captured into a spare slot", len(apps))
 			}
 		}
 	}

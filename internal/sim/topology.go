@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"ahq/internal/machine"
 )
@@ -21,6 +22,12 @@ import (
 //     member app indices in engine configuration order — the iteration
 //     order the resolvers used when they filtered e.apps by Region.Has,
 //     preserved so every float accumulation happens in the identical order.
+//
+// It also holds the miss ratios that stay fixed for as long as the
+// allocation does (isoMiss, evenMiss): the same function on the same
+// argument, computed once instead of once per tick, so each reuse has the
+// bits a fresh call would. A repartition compiles a new topology, which
+// discards them with nothing to invalidate.
 type allocTopology struct {
 	byApp  []topoApp
 	shared []topoShared
@@ -42,6 +49,15 @@ type topoApp struct {
 	// sharedIdx indexes allocTopology.shared for the app's shared region,
 	// or -1 when it belongs to none.
 	sharedIdx int
+	// isoMiss is MissRatio(isoWays): the app's miss ratio on a tick it
+	// takes no shared ways.
+	isoMiss float64
+	// evenMiss[n] is MissRatio(isoWays + ways/n) for the app's shared
+	// region of `ways` ways: its miss ratio in the first cache fixed-point
+	// round of a tick with n active members, when every member holds an
+	// even split. NaN until the first such tick fills it; nil when the app
+	// shares no ways.
+	evenMiss []float64
 }
 
 // topoShared is one shared region plus its member index list.
@@ -90,7 +106,20 @@ func (e *Engine) compileTopology(alloc *machine.Allocation) (allocTopology, erro
 			t.byApp[i].entitledWays += float64(g.Ways)
 			ts.members = append(ts.members, i)
 		}
+		if g.Ways > 0 {
+			k := len(ts.members) + 1
+			rows := make([]float64, len(ts.members)*k)
+			for j := range rows {
+				rows[j] = math.NaN()
+			}
+			for j, i := range ts.members {
+				t.byApp[i].evenMiss = rows[j*k : (j+1)*k : (j+1)*k]
+			}
+		}
 		t.shared = append(t.shared, ts)
+	}
+	for i, a := range e.apps {
+		t.byApp[i].isoMiss = a.cache().MissRatio(t.byApp[i].isoWays)
 	}
 	return t, nil
 }
