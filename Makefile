@@ -71,7 +71,6 @@ md5-full:
 	@$(call md5_check,,results/full.md5)
 
 fuzz:
-	$(GO) test -fuzz FuzzP2VsExact -fuzztime 20s ./internal/metrics/
 	$(GO) test -fuzz FuzzPercentile -fuzztime 20s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/

@@ -206,8 +206,8 @@ func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.
 // per iteration, exactly as a sweep does: common-random-numbers node seeds
 // (the default seed policy), canonical intra-node order and within-Run
 // grouping in BOTH variants — the only difference is whether a
-// sweep-scoped cluster.NodeCache carries completed node simulations across
-// the candidate Runs. Both variants produce bit-identical tables (pinned by
+// sweep-scoped cluster.NodeCache carries simulated node trajectories
+// across the candidate Runs. Both variants produce bit-identical tables (pinned by
 // TestNodeCacheHitIsBitIdentical and the CI ext-fleet smoke); the benchmark
 // measures the wall-time wedge, which is bounded by cross-candidate content
 // overlap: here neighbours share ~95% of their nodes with the incumbent, so
@@ -258,8 +258,9 @@ func benchFleetSweep(b *testing.B, cached bool) {
 // crash+degrade+blackout plan, each with re-placement off and on, four Runs
 // sharing one NodeCache at Parallel 1 per iteration. Crash phases pair
 // warmed and unwarmed windows of the same node contents, so each Run cuts
-// several windows from one trajectory simulation; trajs/op counts the
-// trajectories driven per iteration.
+// several windows from one trajectory simulation, and a later Run replays
+// the prefix windows an earlier one published to the cache; trajs/op
+// counts the trajectories driven per iteration.
 func BenchmarkFleetChaos(b *testing.B) {
 	const nodes = 200
 	spec := machine.DefaultSpec()

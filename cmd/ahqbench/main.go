@@ -36,7 +36,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "short horizons (smoke test)")
 		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
 		parallel  = flag.Int("parallel", 0, "simulation runs to execute concurrently per experiment (0 = NumCPU, 1 = sequential); output is identical at any level")
-		nodeCache = flag.Bool("fleet-node-cache", true, "share completed node simulations across the ext-fleet sweep's placements (bit-exact; disable to benchmark the uncached path)")
+		nodeCache = flag.Bool("fleet-node-cache", true, "share simulated node trajectories across the Runs of the ext-fleet and ext-fleetchaos sweeps (bit-exact; disable to benchmark the uncached path)")
 	)
 	flag.Parse()
 

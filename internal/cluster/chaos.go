@@ -17,14 +17,24 @@ package cluster
 // fresh steady-state estimate of the configuration it covers, which is
 // exactly the quantity fleet-level E_S aggregation needs, and what keeps
 // every unit a pure function of its content. Units with equal content keys
-// are therefore one unit, simulated once per Run, and the NodeCache
-// replays them across Runs. Units whose content differs only in the
-// window are one *trajectory*: equal contents share a seed, so their
-// simulations are the same from the first tick, and the window decides
-// only where measurement starts and stops (core.RunHorizons). Each
-// trajectory is simulated once, to its longest window, and every unit's
-// record is cut from it — a node whose contents survive a crash phase
-// boundary elsewhere in the fleet is simulated once, not once per phase.
+// are therefore one unit, simulated once per Run. Units whose content
+// differs only in the window are one *trajectory*: equal contents share a
+// seed, so their simulations are the same from the first tick, and the
+// window decides only where measurement starts and stops
+// (core.RunHorizons). Each trajectory is simulated once, to its longest
+// window, and every unit's record is cut from it — a node whose contents
+// survive a crash phase boundary elsewhere in the fleet is simulated once,
+// not once per phase.
+//
+// The NodeCache carries trajectories across Runs. A fault sweep runs one
+// population under many plans, and each plan cuts a surviving node's
+// trajectory at its own boundaries: the phase after a crash at epoch c of
+// an h-epoch run is the window [0, h-c) of the node's trajectory. So a
+// Run of more than one phase publishes, beside the windows it needed,
+// every prefix window [0,k) up to the longest it simulated, and a later
+// plan's Run replays its windows from that entry instead of re-simulating
+// the trajectory (nodecache.go). A one-phase Run only ever asks for the
+// whole-horizon window and publishes no prefixes.
 //
 // Aggregation pools run-level samples over every slot in (phase, node)
 // order, whatever the grouping, so grouping and caching never move a bit
@@ -61,10 +71,10 @@ type unitSlot struct {
 }
 
 // groupUnits enumerates the schedule's slots and groups them twice. Slots
-// with equal unit keys share one unit — one measurement window, one record,
-// one NodeCache key. Units with equal trajectory keys (the unit key less
-// the horizon) share one trajectory: one simulation from which every
-// unit's window is cut. Units and trajectories are numbered by first
+// with equal unit keys share one unit — one measurement window, one record.
+// Units with equal trajectory keys (the unit key less the horizon) share
+// one trajectory: one simulation from which every unit's window is cut,
+// and one NodeCache entry. Units and trajectories are numbered by first
 // appearance, so the grouping is a deterministic function of the
 // configuration; each trajectory lists its units in that order.
 func groupUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts core.Options, ri float64) ([]shardUnit, [][]int, []unitSlot) {
@@ -78,17 +88,19 @@ func groupUnits(cfg *Config, plan *faults.FleetPlan, sched *fleetSchedule, opts 
 		if !dup {
 			ui = len(units)
 			su := shardUnit{unit: u}
+			su.win.total, su.win.warm = horizonEpochs(u.opts.WithDefaults())
 			ti := len(trajs)
 			if key != nil {
 				ks := string(key)
 				index[ks] = ui
-				if cfg.NodeCache != nil {
-					su.key = cacheKey{s: ks, hash: hash}
-				}
-				if t, ok := trajIndex[string(traj)]; ok {
+				ts := ks[len(key)-len(traj):]
+				if t, ok := trajIndex[ts]; ok {
 					ti = t
 				} else {
-					trajIndex[ks[len(key)-len(traj):]] = ti
+					trajIndex[ts] = ti
+				}
+				if cfg.NodeCache != nil {
+					su.key = cacheKey{s: ts, hash: hash}
 				}
 			}
 			if ti == len(trajs) {
@@ -126,7 +138,7 @@ func runPhases(cfg Config, opts core.Options, ri float64) (*Result, error) {
 	sched := supervise(plan, cfg.Placement, cfg.Spec, cfg.ReplaceEvicted, totalEpochs)
 
 	units, trajs, slots := groupUnits(&cfg, plan, sched, opts, ri)
-	outs, stats, err := runUnits(&cfg, units, trajs)
+	outs, stats, err := runUnits(&cfg, units, trajs, len(sched.phases) > 1)
 	if err != nil {
 		return nil, err
 	}

@@ -394,42 +394,55 @@ func TestRunDrainsFuturesOnError(t *testing.T) {
 
 // TestNodeCacheDropsErroredEntry is the negative-caching regression: an
 // in-flight entry that completes with an error must release its waiters
-// with that error and then leave the cache, so the class is re-simulated
-// rather than replayed as an empty success.
+// and then leave the cache — or, when it was to replace a completed entry,
+// put that entry back — so the trajectory is simulated again rather than
+// replayed as an empty success.
 func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	c := NewNodeCache()
 	k := cacheKey{s: "k"}
-	e, claimed := c.claim(k)
-	if !claimed {
+	short, long := []window{{0, 3}}, []window{{0, 7}}
+	_, e, _ := c.acquire(k, short)
+	if e == nil {
 		t.Fatal("fresh key not claimable")
 	}
-	w, ok := c.lookup(k)
-	if !ok || w != e {
-		t.Fatal("in-flight entry not visible to lookup")
+	woke := make(chan trajRecords)
+	go func() {
+		// Waits on the in-flight claim, then re-examines the entry.
+		hit, claim, _ := c.acquire(k, short)
+		if claim != nil {
+			c.publish(k, claim, trajRecords{{win: window{0, 3}, out: classOut{sum: NodeSummary{Epochs: 3}}}}, nil)
+		}
+		woke <- hit
+	}()
+	c.publish(k, e, nil, errors.New("boom"))
+	if hit := <-woke; hit != nil {
+		t.Error("waiter replayed the errored claim instead of claiming the key itself")
 	}
-	c.publish(k, e, classOut{}, errors.New("boom"))
-	if _, err := w.wait(); err == nil {
-		t.Error("waiter did not observe the publish error")
+	if c.Len() != 1 {
+		t.Fatalf("cache Len = %d, want the waiter's entry only", c.Len())
 	}
-	if _, ok := c.lookup(k); ok {
-		t.Fatal("errored entry still cached after publish")
+	// A failed upgrade restores the completed entry it was to replace.
+	_, up, base := c.acquire(k, long)
+	if up == nil || len(base) != 1 {
+		t.Fatalf("uncovered window did not claim an upgrade (claim %v, base %v)", up, base)
 	}
-	if c.Len() != 0 {
-		t.Errorf("cache Len = %d after dropping its only entry", c.Len())
+	c.publish(k, up, nil, errors.New("boom"))
+	hit, claim, _ := c.acquire(k, short)
+	if claim != nil || hit == nil {
+		t.Fatal("errored upgrade dropped the entry it replaced")
 	}
-	// The key must be claimable again, and a successful publish sticks.
-	e2, claimed := c.claim(k)
-	if !claimed {
-		t.Fatal("key not re-claimable after an errored publish")
+	if co, ok := hit.get(window{0, 3}); !ok || co.sum.Epochs != 3 {
+		t.Errorf("replayed record = %+v, %v; want Epochs 3", co.sum, ok)
 	}
-	c.publish(k, e2, classOut{sum: NodeSummary{Epochs: 7}}, nil)
-	got, ok := c.lookup(k)
-	if !ok {
-		t.Fatal("successful publish not cached")
+	// A successful upgrade sticks and keeps the records it extends.
+	_, up, base = c.acquire(k, long)
+	if up == nil {
+		t.Fatal("key not re-claimable after an errored upgrade")
 	}
-	co, err := got.wait()
-	if err != nil || co.sum.Epochs != 7 {
-		t.Errorf("replayed entry = %+v, %v; want Epochs 7, nil", co.sum, err)
+	c.publish(k, up, trajRecords{{win: window{0, 7}, out: classOut{sum: NodeSummary{Epochs: 7}}}}.union(base), nil)
+	hit, claim, _ = c.acquire(k, append(long, short...))
+	if claim != nil || hit == nil {
+		t.Fatal("upgraded entry does not hold both windows")
 	}
 }
 

@@ -11,8 +11,11 @@
 // unit: a measurement window of one node trajectory (chaos.go). Units with
 // equal content keys are grouped, and units that differ only in their
 // window are cut from one trajectory simulation (core.RunHorizons), so
-// each distinct trajectory simulates once per Run; a NodeCache
-// (nodecache.go) replays windows across Runs. Trajectories fan out in
+// each distinct trajectory simulates once per Run. A NodeCache
+// (nodecache.go) carries trajectories across Runs: its entry holds every
+// window one simulation cut, plus every prefix window when the Run had
+// several phases, so a later Run cut at other phase boundaries replays
+// them instead of simulating again. Trajectories fan out in
 // contiguous shards over a bounded worker pool (internal/pool, the same
 // implementation the experiment harness uses); every trajectory runs its
 // own engine with a private contention-solve memo, and each window is
@@ -25,6 +28,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ahq/internal/core"
@@ -69,13 +73,14 @@ type Config struct {
 	// and replayed across Runs by a NodeCache. On, node i runs Seed+i over
 	// Placement[i] as given: independent stochastic streams per node.
 	SeedPerNode bool
-	// NodeCache optionally supplies a sweep-scoped cache of completed
-	// unit windows (nodecache.go): before simulating a trajectory the
-	// engine looks up each unit's content-addressed key — every input the
-	// window reads, bit-exactly — and a hit replays the record the
-	// identical computation produced in an earlier Run (or in a racing
-	// shard, via single-flight). Byte-identical output by construction;
-	// only wall time changes. Requires StrategyDigest.
+	// NodeCache optionally supplies a sweep-scoped cache of simulated
+	// node trajectories (nodecache.go): before simulating a trajectory the
+	// engine looks up its content-addressed key — every input the
+	// simulation reads, bit-exactly — and an entry holding every window
+	// the trajectory's units need replays the records the identical
+	// computation produced in an earlier Run (or in a racing shard, via
+	// single-flight). Byte-identical output by construction; only wall
+	// time changes. Requires StrategyDigest.
 	NodeCache *NodeCache
 	// StrategyDigest declares the identity of what NewStrategy builds —
 	// the one simulation input the engine cannot serialise itself, since
@@ -143,8 +148,7 @@ type FleetStats struct {
 	// NodesRun counts the fleet's logical nodes.
 	NodesRun int
 	// NodesSimulated counts engines actually driven: one per trajectory
-	// with a window the NodeCache did not replay (plus one per trajectory
-	// that re-simulates windows whose racing claimant failed).
+	// the NodeCache did not replay whole.
 	NodesSimulated int
 	// MemoHits are ticks an engine served without running its contention
 	// resolvers (memo hits, fast-forwarded ticks); Solves are resolver
@@ -152,7 +156,8 @@ type FleetStats struct {
 	// the engines actually driven, MemoHits + Solves is their tick count.
 	MemoHits, Solves uint64
 	// NodeCacheHits counts units whose window was replayed from
-	// Config.NodeCache instead of being simulated.
+	// Config.NodeCache instead of being simulated: every unit of a
+	// trajectory whose entry held all of their windows.
 	NodeCacheHits uint64
 	// FailedNodes counts nodes with NodeSummary.Failed set; DownEpochs and
 	// Evictions sum the corresponding per-node counters. Deterministic.
@@ -275,12 +280,13 @@ func Run(cfg Config, opts core.Options) (*Result, error) {
 
 // runUnits fans the trajectories out over the worker pool in contiguous
 // shards and returns the unit records in unit order: each shard writes the
-// records of its trajectories' units, which no other shard touches. A
-// failing shard no longer strands its siblings: every future is drained
-// before the first error is returned, so no goroutine is left writing the
-// records or the collector after Run has handed control back to the
-// caller.
-func runUnits(cfg *Config, units []shardUnit, trajs [][]int) ([]classOut, FleetStats, error) {
+// records of its trajectories' units, which no other shard touches. With
+// prefixes set (a Run of more than one phase) every trajectory a shard
+// publishes to the NodeCache also carries its prefix windows. A failing
+// shard no longer strands its siblings: every future is drained before the
+// first error is returned, so no goroutine is left writing the records or
+// the collector after Run has handed control back to the caller.
+func runUnits(cfg *Config, units []shardUnit, trajs [][]int, prefixes bool) ([]classOut, FleetStats, error) {
 	ex := workpool.New(cfg.Parallel)
 	stats := &statsCollector{}
 	outs := make([]classOut, len(units))
@@ -292,7 +298,7 @@ func runUnits(cfg *Config, units []shardUnit, trajs [][]int) ([]classOut, FleetS
 		hi := (s + 1) * len(trajs) / shards
 		shard := s
 		futs = append(futs, workpool.Submit(ex, func() (struct{}, error) {
-			return struct{}{}, runShard(*cfg, shard, units, trajs[lo:hi], outs, stats)
+			return struct{}{}, runShard(*cfg, shard, units, trajs[lo:hi], prefixes, outs, stats)
 		}))
 	}
 	var firstErr error
@@ -357,11 +363,12 @@ type simUnit struct {
 	blackout *faults.Plan
 }
 
-// shardUnit pairs a unit with its content-addressed NodeCache key; an
-// empty key means uncached (no cache configured, or the template is not
-// key-serialisable).
+// shardUnit pairs a unit with its window and its trajectory's
+// content-addressed NodeCache key; an empty key means uncached (no cache
+// configured, or the template is not key-serialisable).
 type shardUnit struct {
 	key  cacheKey
+	win  window
 	unit simUnit
 }
 
@@ -371,28 +378,20 @@ type shardUnit struct {
 // left (simulation failures are absorbed into dead records).
 var shardFailHook func(shard int) error
 
-// pendingUnit is a unit whose record another goroutine is producing.
-type pendingUnit struct {
-	unit  int
-	entry *nodeCacheEntry
-}
-
 // runShard drives a contiguous range of trajectories, writing each unit's
 // record to outs at the unit's index. Without a NodeCache a trajectory is
-// one simulation to its longest window. With one, each keyed unit first
-// resolves its own key: a published or in-flight entry (a racing shard,
-// possibly of another Run sharing the cache) is adopted, and otherwise the
-// shard claims the key. The trajectory then simulates once, to the longest
-// window it claimed or could not key, and publishes every claimed record
-// *before* waiting on any racer: a shard never waits while holding an
-// unpublished claim, so two Runs whose trajectories claimed each other's
-// windows cannot deadlock. A racer whose simulation failed leaves its
-// units to a second, unpublished simulation here. A failed simulation no
-// longer kills the fleet: the error is published (and its cache entries
-// dropped, so the keys can be re-simulated), then each of its windows is
-// absorbed into a Failed record carrying saturated dead-window samples,
-// and the run continues.
-func runShard(cfg Config, shard int, units []shardUnit, trajs [][]int, outs []classOut, stats *statsCollector) error {
+// one simulation to its longest window. With one, the shard first asks
+// the cache for the trajectory's windows (acquire): an entry holding them
+// all — from an earlier Run, or a racing shard's — replays them; otherwise
+// the shard claims the entry, simulates to its own longest window (and,
+// with prefixes, cuts every prefix window too), and publishes the union of
+// its records and the entry's before it moves on. A shard therefore never
+// holds a claim while it waits on another. A failed simulation no longer
+// kills the fleet: the failure is published (the entry goes back to what
+// it was, so the trajectory can be simulated again), then each of its
+// windows is absorbed into a Failed record carrying saturated dead-window
+// samples, and the run continues.
+func runShard(cfg Config, shard int, units []shardUnit, trajs [][]int, prefixes bool, outs []classOut, stats *statsCollector) error {
 	if shardFailHook != nil {
 		if err := shardFailHook(shard); err != nil {
 			return err
@@ -400,69 +399,45 @@ func runShard(cfg Config, shard int, units []shardUnit, trajs [][]int, outs []cl
 	}
 	var hits, solves, nodeHits uint64
 	simulated := 0
-	var run, retry []int
-	var claims []*nodeCacheEntry
-	var pending []pendingUnit
-	drive := func(idx []int, pub []*nodeCacheEntry) {
-		cos, cs, err := simulateTrajectory(&cfg, units, idx)
-		for k, ui := range idx {
-			var co classOut
+	var need []window
+	for _, traj := range trajs {
+		key := units[traj[0]].key
+		var claim *nodeCacheEntry
+		var base trajRecords
+		if key.s != "" {
+			need = need[:0]
+			for _, ui := range traj {
+				need = append(need, units[ui].win)
+			}
+			var hit trajRecords
+			hit, claim, base = cfg.NodeCache.acquire(key, need)
+			if hit != nil {
+				for _, ui := range traj {
+					outs[ui], _ = hit.get(units[ui].win)
+				}
+				nodeHits += uint64(len(traj))
+				continue
+			}
+		}
+		recs, cs, err := simulateTrajectory(&cfg, units, traj, prefixes && claim != nil)
+		if claim != nil {
 			if err == nil {
-				co = cos[k]
+				recs = recs.union(base)
 			}
-			if pub != nil && pub[k] != nil {
-				cfg.NodeCache.publish(units[ui].key, pub[k], co, err)
-			}
+			cfg.NodeCache.publish(key, claim, recs, err)
+		}
+		for _, ui := range traj {
 			if err != nil {
 				// Absorb the failure: the node is recorded dead for the
 				// whole window instead of aborting every sibling.
-				co = deadUnitOut(units[ui].unit)
+				outs[ui] = deadUnitOut(units[ui].unit)
+				continue
 			}
-			outs[ui] = co
+			outs[ui], _ = recs.get(units[ui].win)
 		}
 		simulated++
 		hits += cs.memoHits
 		solves += cs.solves
-	}
-	for _, traj := range trajs {
-		run, claims, pending, retry = run[:0], claims[:0], pending[:0], retry[:0]
-		for _, ui := range traj {
-			key := units[ui].key
-			if key.s != "" {
-				if e, ok := cfg.NodeCache.lookup(key); ok {
-					pending = append(pending, pendingUnit{ui, e})
-					continue
-				}
-				e, claimed := cfg.NodeCache.claim(key)
-				if !claimed && e != nil {
-					// Lost the claim race: adopt the racer's record.
-					pending = append(pending, pendingUnit{ui, e})
-					continue
-				}
-				// e == nil here means the shard was full: simulate
-				// without publishing.
-				claims = append(claims, e)
-			} else {
-				claims = append(claims, nil)
-			}
-			run = append(run, ui)
-		}
-		if len(run) > 0 {
-			drive(run, claims)
-		}
-		for _, p := range pending {
-			if co, err := p.entry.wait(); err == nil {
-				outs[p.unit] = co
-				nodeHits++
-			} else {
-				// The racer's simulation failed and its entry was
-				// dropped; simulate the window here, unpublished.
-				retry = append(retry, p.unit)
-			}
-		}
-		if len(retry) > 0 {
-			drive(retry, nil)
-		}
 	}
 	stats.add(simulated, hits, solves, nodeHits)
 	return nil
@@ -474,12 +449,13 @@ type classSolveStats struct {
 }
 
 // simulateTrajectory runs one engine and one strategy over the
-// trajectory the units idx share (their content is the first unit's),
-// cuts every unit's window from it (core.RunHorizons) and condenses each
-// into its record. A blackout plan wraps the engine with the drop
+// trajectory the units idx share (their content is the first unit's) and
+// cuts every unit's window from it (core.RunHorizons), with prefixes also
+// every prefix window [0,k) up to the longest unit window, condensing each
+// window into its record. A blackout plan wraps the engine with the drop
 // injector so every application's telemetry vanishes over the planned
 // epochs.
-func simulateTrajectory(cfg *Config, units []shardUnit, idx []int) ([]classOut, classSolveStats, error) {
+func simulateTrajectory(cfg *Config, units []shardUnit, idx []int, prefixes bool) (trajRecords, classSolveStats, error) {
 	u := units[idx[0]].unit
 	engine, err := sim.New(sim.Config{Spec: u.spec, Seed: u.seed, Apps: uniquify(u.apps)})
 	if err != nil {
@@ -493,21 +469,39 @@ func simulateTrajectory(cfg *Config, units []shardUnit, idx []int) ([]classOut, 
 	if !u.blackout.Empty() {
 		drive = faults.NewInjector(u.blackout).Engine(engine)
 	}
-	opts := make([]core.Options, len(idx))
-	for k, ui := range idx {
-		opts[k] = units[ui].unit.opts
+	opts := make([]core.Options, 0, len(idx))
+	wins := make([]window, 0, len(idx))
+	add := func(o core.Options, w window) {
+		if !slices.Contains(wins, w) {
+			opts, wins = append(opts, o), append(wins, w)
+		}
+	}
+	longest := 0
+	for _, ui := range idx {
+		add(units[ui].unit.opts, units[ui].win)
+		longest = max(longest, units[ui].win.total)
+	}
+	if prefixes {
+		o := u.opts.WithDefaults()
+		for k := 1; k <= longest; k++ {
+			p := core.Options{EpochMs: o.EpochMs, RI: o.RI, RecordTimeline: o.RecordTimeline,
+				WarmupMs: -1, DurationMs: float64(k) * o.EpochMs}
+			var w window
+			w.total, w.warm = horizonEpochs(p.WithDefaults())
+			add(p, w)
+		}
 	}
 	results, err := core.RunHorizons(drive, cfg.NewStrategy(u.node), opts)
 	if err != nil {
 		return nil, classSolveStats{}, fmt.Errorf("cluster: node %d: %w", u.node, err)
 	}
-	cos := make([]classOut, len(results))
+	recs := make(trajRecords, len(results))
 	for k, r := range results {
-		cos[k] = condense(r)
+		recs[k] = windowOut{win: wins[k], out: condense(r)}
 	}
 	var cs classSolveStats
 	cs.memoHits, cs.solves = engine.SolveStats()
-	return cos, cs, nil
+	return recs, cs, nil
 }
 
 // condense reduces a node result to its record.

@@ -5,24 +5,36 @@ package cluster
 // online candidate evaluation) — runs many fleets over one application
 // population. Node contents recur massively across those fleets: the
 // population is a small catalog of service templates at quantised load
-// steps, so two placements (and two fleet sizes) keep producing nodes
-// whose simulations are bit-for-bit the same computation. Within a single
-// cluster.Run the engine groups units with equal content keys; across Runs
-// every placement would re-simulate everything.
+// steps, so two placements (and two fleet sizes, and two fault plans) keep
+// producing nodes whose simulations are bit-for-bit the same computation.
+// Within a single cluster.Run the engine groups units into trajectories;
+// across Runs every placement would re-simulate everything.
 //
 // NodeCache extends the collapse to the whole sweep: a concurrency-safe,
-// sharded, bounded, content-addressed cache of *completed unit
-// simulations*. The key is a bit-exact serialisation of every input a
-// unit simulation reads — machine spec, core.Options, RI, the engine
-// tunables, a caller-supplied strategy identity digest, the blackout plan,
-// the seed, and the application template list, floats encoded by their
-// IEEE-754 bit patterns (phaseUnits) — and the value is the unit's
-// classOut (summary template plus entropy samples). A hit
-// therefore replays the exact record the identical computation produced
-// elsewhere, and output stays byte-identical by construction; only wall
-// time changes. Entries are published through a single-flight protocol:
-// the first goroutine to reach a key claims it and simulates, racers wait
-// on the entry's done channel instead of duplicating the work.
+// sharded, bounded, content-addressed cache of *node trajectories*. The
+// key is the trajectory key (phaseUnits): a bit-exact serialisation of
+// every input a simulation reads — machine spec, the controller options
+// that reach the simulation, RI, the engine tunables, a caller-supplied
+// strategy identity digest, the blackout plan, the seed, and the
+// application template list, floats encoded by their IEEE-754 bit
+// patterns — and not the measurement window, which decides only where a
+// record starts and stops (core.RunHorizons). The value holds the records
+// of the windows one simulation cut: every window a Run asked of the
+// trajectory and, when that Run had more than one phase, every prefix
+// window [0,k) up to the longest one simulated. A fault plan cuts a
+// surviving node's trajectory at its own phase boundaries, so another
+// plan's Run mostly asks for prefixes of what an earlier one simulated.
+//
+// A Run whose windows the entry holds replays them: the records are a
+// pure function of the trajectory, so output stays byte-identical by
+// construction and only wall time changes. A Run that needs a window the
+// entry lacks simulates the trajectory again, to its own longest window,
+// and replaces the entry with the union of both record sets — the
+// records are the same bits either way. Entries go through a
+// single-flight protocol: the first goroutine to reach a key claims it
+// and simulates; racers wait on the claim and then re-examine the entry.
+// A waiter never holds a claim of its own (each shard publishes its claim
+// before it looks at the next trajectory), so waits cannot form a cycle.
 //
 // The strategy digest is the one key component the engine cannot derive
 // itself: Config.NewStrategy is an opaque factory, so the caller must
@@ -45,13 +57,14 @@ const nodeCacheShardCount = 8
 
 // nodeCacheShardMaxEntries bounds each shard. The bound exists to cap
 // memory under adversarial key diversity, not to evict: a full shard
-// stops accepting inserts and keeps its early entries. 8 shards x 1024
-// entries covers every unique node content a fleet sweep of tens of
-// thousands of nodes produces over a quantised population.
+// stops accepting new trajectories and keeps its early entries (it still
+// replaces an entry with a longer one). 8 shards x 1024 entries covers
+// every unique node content a fleet sweep of tens of thousands of nodes
+// produces over a quantised population.
 const nodeCacheShardMaxEntries = 1 << 10
 
 // NodeCache is a sweep-scoped, concurrency-safe, bounded cache of
-// completed node simulations. The zero value is not usable; construct
+// simulated node trajectories. The zero value is not usable; construct
 // with NewNodeCache. See the package comment above for the contract.
 type NodeCache struct {
 	shards [nodeCacheShardCount]nodeCacheShard
@@ -65,13 +78,64 @@ type nodeCacheShard struct {
 	full    uint64                     // guarded by mu
 }
 
-// nodeCacheEntry is one cached (or in-flight) node simulation. The
-// claiming goroutine writes out/err exactly once and then closes done;
-// everyone else waits on done before reading, so the fields need no lock.
+// window is a measurement window of a trajectory: the measured epochs
+// [warm, total), with the bounds core.RunHorizons derives from a unit's
+// options (horizonEpochs). A record is a function of its trajectory and
+// its window alone.
+type window struct {
+	warm, total int
+}
+
+// windowOut is one window's record.
+type windowOut struct {
+	win window
+	out classOut
+}
+
+// trajRecords are the records one or more simulations of a trajectory
+// cut, one per window. Immutable once published.
+type trajRecords []windowOut
+
+// get returns the record of window w, if cut.
+func (r trajRecords) get(w window) (classOut, bool) {
+	for i := range r {
+		if r[i].win == w {
+			return r[i].out, true
+		}
+	}
+	return classOut{}, false
+}
+
+// covers reports whether r holds a record for every window of need.
+func (r trajRecords) covers(need []window) bool {
+	for _, w := range need {
+		if _, ok := r.get(w); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// union returns r with every record of base whose window r lacks.
+func (r trajRecords) union(base trajRecords) trajRecords {
+	for _, b := range base {
+		if _, ok := r.get(b.win); !ok {
+			r = append(r, b)
+		}
+	}
+	return r
+}
+
+// nodeCacheEntry is one trajectory entry, completed or in flight. The
+// claiming goroutine writes recs exactly once and then closes done;
+// everyone else waits on done before reading, so the field needs no lock.
+// prev is the completed entry an in-flight one replaces (nil for a new
+// trajectory): a failed simulation puts it back, so a completed entry in
+// the cache always holds records.
 type nodeCacheEntry struct {
 	done chan struct{}
-	out  classOut // guarded by done
-	err  error    // guarded by done
+	recs trajRecords // guarded by done
+	prev *nodeCacheEntry
 }
 
 // NodeCacheStats counts cache traffic. Hits and misses depend only on the
@@ -80,12 +144,14 @@ type nodeCacheEntry struct {
 // so, like FleetStats, the counters are for logs and benchmarks, never for
 // deterministic output.
 type NodeCacheStats struct {
-	// Hits counts lookups that found an entry (completed or in flight).
+	// Hits counts trajectories whose every window was replayed from an
+	// entry.
 	Hits uint64
-	// Misses counts claims: lookups that went on to simulate and publish.
+	// Misses counts claims: trajectories that went on to simulate and
+	// publish a new entry or a longer one.
 	Misses uint64
-	// Full counts lookups that found no entry and could not claim one
-	// because the shard was at capacity; the caller simulated without
+	// Full counts trajectories that found no entry and could not claim
+	// one because the shard was at capacity; the caller simulated without
 	// publishing.
 	Full uint64
 }
@@ -99,7 +165,7 @@ func NewNodeCache() *NodeCache {
 	return c
 }
 
-// Len reports the number of cached node simulations, including in-flight
+// Len reports the number of cached trajectories, including in-flight
 // claims (for tests and telemetry).
 func (c *NodeCache) Len() int {
 	n := 0
@@ -128,10 +194,10 @@ func (c *NodeCache) Stats() NodeCacheStats {
 
 // cacheKey is a NodeCache content address together with the hash that
 // routes it to a shard. The hash is computed once, while the key is built,
-// from the key's seed and template components (keyHash), so lookup, claim
-// and publish never rehash the key's hundreds of bytes. Equal keys have
-// equal components and therefore equal hashes, which is all routing needs;
-// the shard never reaches output.
+// from the key's seed and template components (keyHash), so acquire and
+// publish never rehash the key's hundreds of bytes. Equal keys have equal
+// components and therefore equal hashes, which is all routing needs; the
+// shard never reaches output.
 type cacheKey struct {
 	s    string
 	hash uint64
@@ -163,80 +229,82 @@ func keyHash(seed int64, templateHash uint64) uint64 {
 	return h
 }
 
-// lookup returns the entry under key, if any — completed or in flight; the
-// caller waits on entry.done before reading. The fast path of every cached
-// node in a warm sweep.
+// completed reports whether the entry has been published.
+func (e *nodeCacheEntry) completed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// acquire resolves a trajectory that needs the windows need. When a
+// completed entry holds every one of them it returns its records (a hit).
+// Otherwise it claims the key — a new entry, or one that replaces a
+// completed entry lacking some window — and returns the claim with the
+// records it extends (nil for a new trajectory): the caller must simulate
+// and publish, or racers would wait forever. A nil claim and nil records
+// mean the shard was full: simulate without publishing. An entry in
+// flight is waited on and then re-examined; the caller holds no claim
+// while it waits.
 //
 //ahq:hotpath
-func (c *NodeCache) lookup(key cacheKey) (*nodeCacheEntry, bool) {
+func (c *NodeCache) acquire(key cacheKey, need []window) (hit trajRecords, claim *nodeCacheEntry, base trajRecords) {
 	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.entries[key.s]
-	if ok {
-		s.hits++
+	for {
+		s.mu.Lock()
+		e := s.entries[key.s]
+		switch {
+		case e == nil:
+			if len(s.entries) >= nodeCacheShardMaxEntries {
+				s.full++
+				s.mu.Unlock()
+				return nil, nil, nil
+			}
+			claim = &nodeCacheEntry{done: make(chan struct{})} //ahqlint:allow hotpath miss-path-only: one claim per trajectory simulated
+			s.entries[key.s] = claim
+			s.misses++
+			s.mu.Unlock()
+			return nil, claim, nil
+		case e.completed():
+			if e.recs.covers(need) {
+				s.hits++
+				s.mu.Unlock()
+				return e.recs, nil, nil
+			}
+			claim = &nodeCacheEntry{done: make(chan struct{}), prev: e} //ahqlint:allow hotpath miss-path-only: one claim per trajectory simulated
+			s.entries[key.s] = claim
+			s.misses++
+			s.mu.Unlock()
+			return nil, claim, e.recs
+		}
+		s.mu.Unlock()
+		<-e.done
 	}
-	s.mu.Unlock()
-	return e, ok
 }
 
-// claim inserts an in-flight entry under key and returns it with
-// claimed=true: the caller must simulate and publish via complete, or
-// racers waiting on the entry would block forever. When a racer claimed
-// the key first the existing entry is returned with claimed=false (wait on
-// it like a lookup hit), and when the shard is full claim returns
-// (nil, false): simulate without publishing.
-func (c *NodeCache) claim(key cacheKey) (e *nodeCacheEntry, claimed bool) {
+// publish completes a claimed entry and wakes every waiter. A failed
+// simulation is not cached: a published error would poison the
+// content-address for the whole sweep, when the right behaviour is to let
+// the trajectory be simulated again (the engine absorbs the failure into
+// dead records either way, but a transient claimant bug must not become a
+// sweep-wide fact). The claim leaves the shard and the entry it replaced,
+// if any, comes back; the identity check keeps a racing re-claimant's
+// fresh entry intact.
+func (c *NodeCache) publish(key cacheKey, e *nodeCacheEntry, recs trajRecords, err error) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key.s]; ok {
-		s.hits++
-		s.mu.Unlock()
-		return e, false
+	if err != nil && s.entries[key.s] == e {
+		if e.prev != nil {
+			s.entries[key.s] = e.prev
+		} else {
+			delete(s.entries, key.s)
+		}
 	}
-	if len(s.entries) >= nodeCacheShardMaxEntries {
-		s.full++
-		s.mu.Unlock()
-		return nil, false
-	}
-	e = &nodeCacheEntry{done: make(chan struct{})}
-	s.entries[key.s] = e
-	s.misses++
-	s.mu.Unlock()
-	return e, true
-}
-
-// complete publishes a claimed entry's simulation outcome and wakes every
-// waiter.
-func (e *nodeCacheEntry) complete(out classOut, err error) {
-	e.out, e.err = out, err
+	e.recs, e.prev = recs, nil
 	close(e.done)
-}
-
-// publish completes a claimed entry and, when the simulation errored,
-// drops the entry from its shard after the waiters are released. Errors
-// must not be cached: a permanently published error would poison the
-// content-address for the whole sweep, replaying the failure as a hit on
-// every later lookup, when the right behaviour is to let the class be
-// re-simulated (the engine absorbs the failure into a dead record either
-// way, but a transient claimant bug must not become a sweep-wide fact).
-// The identity check keeps a racing re-claimant's fresh entry intact.
-func (c *NodeCache) publish(key cacheKey, e *nodeCacheEntry, out classOut, err error) {
-	e.complete(out, err)
-	if err == nil {
-		return
-	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if s.entries[key.s] == e {
-		delete(s.entries, key.s)
-	}
 	s.mu.Unlock()
-}
-
-// wait blocks until the entry is published and returns its outcome.
-func (e *nodeCacheEntry) wait() (classOut, error) {
-	<-e.done
-	return e.out, e.err
 }
 
 // orderedTemplate serialises a node's applications once and returns them

@@ -143,24 +143,27 @@ func TestNodeCacheRequiresStrategyDigest(t *testing.T) {
 }
 
 // TestNodeCacheBounded pins boundedness at the shard protocol level: once
-// a shard reaches capacity, claim declines (nil, false) instead of
-// inserting, and Len stops growing.
+// a shard reaches capacity, acquire declines to claim a new trajectory
+// (nil claim, nil records) instead of inserting, and Len stops growing;
+// existing entries still hit and may still be replaced by longer ones.
 func TestNodeCacheBounded(t *testing.T) {
 	c := NewNodeCache()
 	// Drive one shard to capacity with synthetic keys routed to it.
 	const hash = 3
+	need := []window{{1, 4}}
+	recs := trajRecords{{win: need[0]}}
 	for i := 0; i < nodeCacheShardMaxEntries; i++ {
 		key := cacheKey{s: fmt.Sprintf("k%d", i), hash: hash}
-		e, claimed := c.claim(key)
-		if !claimed {
+		_, e, _ := c.acquire(key, need)
+		if e == nil {
 			t.Fatalf("fresh key %q not claimed", key.s)
 		}
-		e.complete(classOut{}, nil)
+		c.publish(key, e, recs, nil)
 	}
 	before := c.Len()
 	for i := 0; i < 3; i++ {
 		key := cacheKey{s: fmt.Sprintf("overflow%d", i), hash: hash}
-		if e, claimed := c.claim(key); claimed || e != nil {
+		if hit, e, base := c.acquire(key, need); hit != nil || e != nil || base != nil {
 			t.Fatalf("full shard accepted key %q", key.s)
 		}
 	}
@@ -172,10 +175,15 @@ func TestNodeCacheBounded(t *testing.T) {
 		t.Errorf("Full counter = %d, want 3", st.Full)
 	}
 	// Existing entries still hit, and other shards still accept inserts.
-	if _, ok := c.lookup(cacheKey{s: "k0", hash: hash}); !ok {
+	if hit, _, _ := c.acquire(cacheKey{s: "k0", hash: hash}, need); hit == nil {
 		t.Error("bounded shard lost an existing entry")
 	}
-	if _, claimed := c.claim(cacheKey{s: "elsewhere", hash: hash + 1}); !claimed {
+	if _, e, _ := c.acquire(cacheKey{s: "k1", hash: hash}, []window{{0, 9}}); e == nil {
+		t.Error("a full shard refused to replace an entry with a longer one")
+	} else {
+		c.publish(cacheKey{s: "k1", hash: hash}, e, recs, nil)
+	}
+	if _, e, _ := c.acquire(cacheKey{s: "elsewhere", hash: hash + 1}, need); e == nil {
 		t.Error("a full shard blocked inserts into another shard")
 	}
 }
@@ -192,7 +200,8 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 		claims  int
 		results []float64 // guarded by mu
 	)
-	want := classOut{sum: NodeSummary{ES: 0.125}}
+	need := []window{{2, 12}}
+	want := trajRecords{{win: need[0], out: classOut{sum: NodeSummary{ES: 0.125}}}}
 	key := cacheKey{s: "contested"}
 	start := make(chan struct{})
 	for i := 0; i < callers; i++ {
@@ -200,21 +209,19 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			var co classOut
-			if e, ok := c.lookup(key); ok {
-				co, _ = e.wait()
-			} else if e, claimed := c.claim(key); claimed {
+			hit, e, _ := c.acquire(key, need)
+			switch {
+			case e != nil:
 				mu.Lock()
 				claims++
 				mu.Unlock()
-				e.complete(want, nil)
-				co = want
-			} else if e != nil {
-				co, _ = e.wait()
-			} else {
-				t.Error("claim returned full on an empty cache")
+				c.publish(key, e, want, nil)
+				hit = want
+			case hit == nil:
+				t.Error("acquire declined on an empty cache")
 				return
 			}
+			co, _ := hit.get(need[0])
 			mu.Lock()
 			results = append(results, co.sum.ES)
 			mu.Unlock()
@@ -229,8 +236,8 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 		t.Fatalf("%d results for %d callers", len(results), callers)
 	}
 	for _, es := range results {
-		if es != want.sum.ES {
-			t.Errorf("caller observed ES=%v, want %v", es, want.sum.ES)
+		if es != want[0].out.sum.ES {
+			t.Errorf("caller observed ES=%v, want %v", es, want[0].out.sum.ES)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestTrajectoriesMatchPerUnitReference(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s parallel=%d cache=%v", name, parallel, cached)
 					units, trajs := groupFor(t, &c, trajectoryOpts)
-					outs, stats, err := runUnits(&c, units, trajs)
+					outs, stats, err := runUnits(&c, units, trajs, true)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -230,67 +230,87 @@ func TestConcurrentRunsWithOverlappingTrajectories(t *testing.T) {
 	}
 }
 
+// entryOf returns the cache entry under key, completed or in flight.
+func entryOf(c *NodeCache, key cacheKey) *nodeCacheEntry {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[key.s]
+}
+
 // TestShardPublishesBeforeWaiting pins the claim protocol directly: a
-// racer holds one window of a trajectory and publishes it only once the
-// shard has published the window it claimed itself. A shard that waited
-// on the racer first would never publish, and both would block forever.
+// racer holds the entry of a shard's second trajectory, with a record for
+// only one of its windows, and publishes it only once the shard has
+// published its first trajectory. A shard that waited while holding its
+// own claim would never publish, and both would block forever. The shard
+// must then see the racer's entry lacks a window and replace it with one
+// holding both.
 func TestShardPublishesBeforeWaiting(t *testing.T) {
 	opts := core.Options{EpochMs: 500, WarmupMs: -1, DurationMs: 6_000}
 	cfg := recurrentFleet(t, 60, "crash@4+/nodes=10%", false)
 	cfg.NodeCache = NewNodeCache()
 	units, trajs := groupFor(t, &cfg, opts)
-	var traj []int
+	var first, raced []int
 	for _, tr := range trajs {
-		if len(tr) >= 2 && units[tr[0]].key.s != "" {
-			traj = tr
-			break
+		switch {
+		case units[tr[0]].key.s == "":
+		case raced == nil && len(tr) >= 2:
+			raced = tr
+		case first == nil:
+			first = tr
 		}
 	}
-	if traj == nil {
-		t.Fatal("no keyed trajectory with two windows")
+	if first == nil || raced == nil {
+		t.Fatal("no pair of keyed trajectories, one with two windows")
 	}
-	own, raced := units[traj[0]], units[traj[1]]
-	racer, claimed := cfg.NodeCache.claim(raced.key)
-	if !claimed {
+	key := units[raced[0]].key
+	_, racer, _ := cfg.NodeCache.acquire(key, []window{units[raced[0]].win})
+	if racer == nil {
 		t.Fatal("fresh key not claimable")
 	}
 	outs := make([]classOut, len(units))
 	done := make(chan error, 1)
-	go func() { done <- runShard(cfg, 0, units, [][]int{traj}, outs, &statsCollector{}) }()
+	go func() {
+		done <- runShard(cfg, 0, units, [][]int{first, raced}, true, outs, &statsCollector{})
+	}()
 
-	racedOut, err := simulateUnit(&cfg, raced.unit)
+	racedOut, err := simulateUnit(&cfg, units[raced[0]].unit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := func() {
+		cfg.NodeCache.publish(key, racer, trajRecords{{win: units[raced[0]].win, out: racedOut}}, nil)
+	}
 	deadline := time.After(30 * time.Second)
-	var ownEntry *nodeCacheEntry
-	for ownEntry == nil {
-		if e, ok := cfg.NodeCache.lookup(own.key); ok {
-			ownEntry = e
-			continue
+	for {
+		if e := entryOf(cfg.NodeCache, units[first[0]].key); e != nil && e.completed() {
+			break
 		}
 		select {
 		case <-deadline:
-			t.Fatal("the shard never claimed its own window")
+			release()
+			<-done
+			t.Fatal("the shard did not publish its own trajectory before waiting on the racer")
 		case <-time.After(time.Millisecond):
 		}
 	}
-	select {
-	case <-ownEntry.done:
-	case <-deadline:
-		cfg.NodeCache.publish(raced.key, racer, racedOut, nil) // release the shard
-		<-done
-		t.Fatal("the shard waited on a racer before publishing its own claim")
-	}
-	cfg.NodeCache.publish(raced.key, racer, racedOut, nil)
+	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	ownOut, err := simulateUnit(&cfg, own.unit)
-	if err != nil {
-		t.Fatal(err)
+	for _, ui := range append(append([]int(nil), first...), raced...) {
+		want, err := simulateUnit(&cfg, units[ui].unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recordText(outs[ui]) != recordText(want) {
+			t.Errorf("unit %d: the shard's record differs from the window's own simulation", ui)
+		}
 	}
-	if recordText(outs[traj[0]]) != recordText(ownOut) || recordText(outs[traj[1]]) != recordText(racedOut) {
-		t.Error("the shard's records differ from the windows' own simulations")
+	e := entryOf(cfg.NodeCache, key)
+	for _, ui := range raced {
+		if _, ok := e.recs.get(units[ui].win); !e.completed() || !ok {
+			t.Errorf("the upgraded entry lacks window %+v", units[ui].win)
+		}
 	}
 }

@@ -7,8 +7,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"ahq/internal/entropy"
 	"ahq/internal/machine"
@@ -203,22 +205,44 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 }
 
 // horizon is one measurement window RunHorizons cuts from the shared
-// simulation: its epoch bounds, its run mark, and its accumulators.
+// simulation: its epoch bounds, the start it shares accumulators and a
+// run mark with, and what it keeps of the run at its last epoch.
 type horizon struct {
-	// warm and total bound the measured epochs [warm, total); markAt is
-	// the epoch before which the engine run mark is taken — warm, or 0
-	// when the horizon measures nothing, whose run-level aggregates then
-	// span the whole run.
-	warm, total, markAt int
-	mark                int
-	apps                []appAccum // by spec index
-	elcSum, ebeSum      float64
-	esSum               float64
-	measured            int
-	res                 *Result
+	// The horizon measures the epochs [start.warm, total); markAt is the
+	// epoch before which the engine run mark is taken — the warm-up end,
+	// or 0 when the horizon measures nothing, whose run-level aggregates
+	// then span the whole run.
+	total, markAt int
+	start         *start
+	// acc is the start's accumulators as of the horizon's last epoch, and
+	// runs the engine's run-level aggregates then (by spec index).
+	acc  accum
+	runs []appCut
+	res  *Result
 }
 
-// appAccum accumulates one application's measured windows.
+// start is what every horizon with one warm-up end and mark shares: the
+// engine run mark and running accumulators over the measured epochs from
+// warm on, up to the latest of their last epochs. Each horizon snapshots
+// the accumulators at its own last epoch; every sum adds its epochs in
+// order from warm, so a shorter window's snapshot is bit-identical to
+// accumulating it alone.
+type start struct {
+	warm, markAt, end int
+	mark              int
+	acc               accum
+}
+
+// accum accumulates a measurement's epochs.
+type accum struct {
+	apps                      []appAccum // by spec index
+	elcSum, ebeSum, esSum     float64
+	measured                  int
+	epochs, adjustments, viol int
+}
+
+// appAccum accumulates one application's measured windows. The p95 and
+// ipc lists only grow, so a snapshot shares their backing arrays.
 type appAccum struct {
 	p95   []float64
 	ipc   []float64
@@ -227,8 +251,26 @@ type appAccum struct {
 	viol  int
 }
 
-// measures reports whether epoch lies in the horizon's measured range.
-func (h *horizon) measures(epoch int) bool { return epoch >= h.warm && epoch < h.total }
+// appCut is one application's run-level aggregates since the horizon's
+// mark, as of its last epoch: an LC application's completion count and,
+// once selected after the run, its p95 (when it completed nothing, the
+// age of its oldest waiting request then); a BE application's IPC.
+type appCut struct {
+	n   int
+	p95 float64
+	ipc float64
+}
+
+// measures reports whether epoch lies in the start's measured range.
+func (s *start) measures(epoch int) bool { return epoch >= s.warm && epoch < s.end }
+
+// snapshot copies the accumulators in O(apps): a copied list header keeps
+// its prefix, since the lists only grow.
+func (a *accum) snapshot() accum {
+	c := *a
+	c.apps = slices.Clone(a.apps)
+	return c
+}
 
 // RunHorizons drives the engine under the strategy once, to the longest of
 // the horizons, and returns one result per horizon. The horizon only
@@ -241,13 +283,22 @@ func (h *horizon) measures(epoch int) bool { return epoch >= h.warm && epoch < h
 // A horizon's result covers exactly its own epochs: the measured sums and
 // counters of its window, DegradedEpochs, incidents and timeline over
 // [0, total), and the run-level latencies, IPCs and final allocation as of
-// its last epoch.
+// its last epoch. Horizons with equal warm-up ends share one run mark and
+// one set of accumulators. At a horizon's last epoch RunHorizons records
+// an O(apps) cut: the accumulators, each application's completion count
+// since the mark (or the age of a starved application's oldest waiting
+// request), its run IPC, the allocation, and the incident and timeline
+// slices. Every horizon — one or many — is finished after the last epoch,
+// when the run-level p95s are selected over each cut of the latency
+// buffer (selectP95s); many windows thus cost the epoch loop almost
+// nothing.
 func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Result, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("core: no horizons to run")
 	}
 	base := opts[0].withDefaults()
 	hs := make([]horizon, len(opts))
+	var starts []*start
 	last := 0
 	for i, o := range opts {
 		o = o.withDefaults()
@@ -256,10 +307,21 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 		}
 		h := &hs[i]
 		h.total = int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
-		h.warm = int(math.Ceil(o.WarmupMs / o.EpochMs))
-		if h.warm < h.total {
-			h.markAt = h.warm
+		warm := int(math.Ceil(o.WarmupMs / o.EpochMs))
+		if warm < h.total {
+			h.markAt = warm
 		}
+		for _, s := range starts {
+			if s.warm == warm && s.markAt == h.markAt {
+				h.start = s
+				break
+			}
+		}
+		if h.start == nil {
+			h.start = &start{warm: warm, markAt: h.markAt}
+			starts = append(starts, h.start)
+		}
+		h.start.end = max(h.start.end, h.total)
 		last = max(last, h.total)
 	}
 
@@ -277,9 +339,8 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 		return nil, fmt.Errorf("core: %s initial allocation rejected: %w", name, err)
 	}
 	sys := entropy.System{RI: base.RI}
-	for i := range hs {
-		hs[i].apps = make([]appAccum, len(specs))
-		hs[i].res = &Result{Strategy: name}
+	for _, s := range starts {
+		s.acc.apps = make([]appAccum, len(specs))
 	}
 	var timeline []EpochRecord
 	degradedEpochs := 0
@@ -294,9 +355,9 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 	rejectStreak, backoffLen, backoffUntil := 0, 0, 0
 
 	for epoch := 0; epoch < last; epoch++ {
-		for i := range hs {
-			if hs[i].markAt == epoch {
-				hs[i].mark = engine.MarkRun()
+		for _, s := range starts {
+			if s.markAt == epoch {
+				s.mark = engine.MarkRun()
 			}
 		}
 		epochIncidents := len(incidents)
@@ -366,20 +427,20 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 			}
 		}
 		entropyOK := winOK && tel.TelemetryOK
-		for i := range hs {
-			h := &hs[i]
-			if !h.measures(epoch) {
+		for _, s := range starts {
+			if !s.measures(epoch) {
 				continue
 			}
+			acc := &s.acc
 			if entropyOK {
-				h.elcSum += tel.ELC
-				h.ebeSum += tel.EBE
-				h.esSum += tel.ES
-				h.measured++
+				acc.elcSum += tel.ELC
+				acc.ebeSum += tel.EBE
+				acc.esSum += tel.ES
+				acc.measured++
 			}
 			if winOK {
 				for j, w := range tel.Apps {
-					a := &h.apps[j]
+					a := &acc.apps[j]
 					if w.Spec.Class != workload.LC {
 						a.ipc = append(a.ipc, w.IPC)
 						continue
@@ -394,8 +455,8 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 					}
 				}
 			}
-			h.res.Epochs++
-			h.res.TotalViolationEpochs += violations
+			acc.epochs++
+			acc.viol += violations
 		}
 
 		cur := engine.Allocation()
@@ -415,9 +476,9 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 			} else if err := engine.SetAllocation(next); err == nil {
 				rejectStreak, backoffLen = 0, 0
 				lastGood = engine.Allocation()
-				for i := range hs {
-					if hs[i].measures(epoch) {
-						hs[i].res.Adjustments++
+				for _, s := range starts {
+					if s.measures(epoch) {
+						s.acc.adjustments++
 					}
 				}
 			} else {
@@ -465,50 +526,129 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 		}
 
 		for i := range hs {
-			h := &hs[i]
-			if h.total != epoch+1 {
-				continue
+			if h := &hs[i]; h.total == epoch+1 {
+				h.cut(engine, specs, name, degradedEpochs, incidents, timeline)
 			}
-			res := h.res
-			res.DegradedEpochs = degradedEpochs
-			res.Incidents = incidents[:len(incidents):len(incidents)]
-			if timeline != nil {
-				res.Timeline = timeline[:len(timeline):len(timeline)]
-			}
-			h.finish(engine, specs, sys)
-			engine.ReleaseRun(h.mark)
 		}
 	}
 
+	selectP95s(engine, specs, hs)
 	out := make([]*Result, len(hs))
 	for i := range hs {
+		hs[i].finish(specs, sys)
 		out[i] = hs[i].res
+	}
+	for _, s := range starts {
+		engine.ReleaseRun(s.mark)
 	}
 	return out, nil
 }
 
-// finish completes the horizon's result at its last epoch: the mean
-// entropies over its measured epochs, and the run-level summaries and
-// entropies from the engine's aggregates since its mark.
-func (h *horizon) finish(engine Engine, specs []sched.AppSpec, sys entropy.System) {
+// cut records what the horizon keeps of the run at its last epoch: the
+// accumulators, the run-level aggregates since its mark, and the counters,
+// incidents, timeline and allocation as of now. It reads no latency
+// buffer, so it costs O(apps) however long the run was.
+func (h *horizon) cut(engine Engine, specs []sched.AppSpec, name string, degradedEpochs int, incidents []Incident, timeline []EpochRecord) {
+	mark := h.start.mark
+	h.acc = h.start.acc.snapshot()
+	h.runs = make([]appCut, len(specs))
+	for j, s := range specs {
+		c := &h.runs[j]
+		if s.Class != workload.LC {
+			c.ipc = engine.RunIPC(s.Name, mark)
+			continue
+		}
+		c.n = engine.RunCompleted(s.Name, mark)
+		if c.n == 0 {
+			// Starved: the run-level lower bound is the age of the oldest
+			// waiting request now, which later epochs would overwrite.
+			c.p95 = engine.RunP95(s.Name, mark)
+		}
+	}
+	h.res = &Result{
+		Strategy:             name,
+		Epochs:               h.acc.epochs,
+		Adjustments:          h.acc.adjustments,
+		TotalViolationEpochs: h.acc.viol,
+		DegradedEpochs:       degradedEpochs,
+		Incidents:            incidents[:len(incidents):len(incidents)],
+		FinalAllocation:      engine.Allocation(),
+	}
+	if timeline != nil {
+		h.res.Timeline = timeline[:len(timeline):len(timeline)]
+	}
+}
+
+// selectP95s selects every horizon's run-level p95s over its cut of the
+// latency buffer, after the run. A horizon's cut spans the completions of
+// its epochs [markAt, total), so epoch windows order the cuts: a window
+// nested in another, or disjoint from it, has a cut nested in or disjoint
+// from the other's. A horizon selects in place — reordering its cut, never
+// its multiset — only when every horizon selected after it contains or
+// misses its window; any other, such as a window that partially overlaps
+// a later one, selects on a copy. Windows with one start are nested, so
+// they go in increasing length, and the largest such family goes last:
+// a prefix sweep selects wholly in place, and only the few windows that
+// start elsewhere pay for a copy.
+func selectP95s(engine Engine, specs []sched.AppSpec, hs []horizon) {
+	family := make(map[int]int, 2) // horizons per start epoch
+	order := make([]int, len(hs))
+	for i := range hs {
+		family[hs[i].markAt]++
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int {
+		a, b := &hs[x], &hs[y]
+		if c := cmp.Compare(family[a.markAt], family[b.markAt]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.markAt, b.markAt); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.total, b.total)
+	})
+	for k, i := range order {
+		h := &hs[i]
+		inPlace := true
+		for _, l := range order[k+1:] {
+			o := &hs[l]
+			nested := o.markAt <= h.markAt && o.total >= h.total
+			apart := o.total <= h.markAt || h.total <= o.markAt
+			if !nested && !apart {
+				inPlace = false
+				break
+			}
+		}
+		for j, s := range specs {
+			if c := &h.runs[j]; s.Class == workload.LC && c.n > 0 {
+				c.p95 = engine.RunP95Prefix(s.Name, h.start.mark, c.n, inPlace)
+			}
+		}
+	}
+}
+
+// finish completes the horizon's result from its cut: the mean entropies
+// over its measured epochs, and the run-level summaries and entropies from
+// the engine's aggregates since its mark.
+func (h *horizon) finish(specs []sched.AppSpec, sys entropy.System) {
 	res := h.res
-	if h.measured > 0 {
-		res.MeanELC = h.elcSum / float64(h.measured)
-		res.MeanEBE = h.ebeSum / float64(h.measured)
-		res.MeanES = h.esSum / float64(h.measured)
+	if h.acc.measured > 0 {
+		res.MeanELC = h.acc.elcSum / float64(h.acc.measured)
+		res.MeanEBE = h.acc.ebeSum / float64(h.acc.measured)
+		res.MeanES = h.acc.esSum / float64(h.acc.measured)
 	}
 
 	// Run-level summaries and entropies from mean latencies/IPCs.
 	var lcRun []entropy.LCSample
 	var beRun []entropy.BESample
 	for j, s := range specs {
-		a := &h.apps[j]
+		a, c := &h.acc.apps[j], &h.runs[j]
 		ar := AppResult{Spec: s}
 		if s.Class == workload.LC {
 			// Run-level tail latency is the exact percentile over every
 			// completion in the measured horizon; the windowed mean is a
 			// fallback for starved runs.
-			ar.MeanP95Ms = engine.RunP95(s.Name, h.mark)
+			ar.MeanP95Ms = c.p95
 			if math.IsNaN(ar.MeanP95Ms) {
 				ar.MeanP95Ms = metrics.Mean(a.p95)
 			}
@@ -522,7 +662,7 @@ func (h *horizon) finish(engine Engine, specs []sched.AppSpec, sys entropy.Syste
 				lcRun = append(lcRun, ar.LCSample)
 			}
 		} else {
-			ar.MeanIPC = engine.RunIPC(s.Name, h.mark)
+			ar.MeanIPC = c.ipc
 			if math.IsNaN(ar.MeanIPC) {
 				ar.MeanIPC = metrics.Mean(a.ipc)
 			}
@@ -539,7 +679,6 @@ func (h *horizon) finish(engine Engine, specs []sched.AppSpec, sys entropy.Syste
 	if y, err := entropy.Yield(lcRun); err == nil {
 		res.Yield = y
 	}
-	res.FinalAllocation = engine.Allocation()
 }
 
 // SamplesFromWindows converts epoch telemetry into entropy inputs, skipping

@@ -36,9 +36,19 @@ type Engine interface {
 	MarkRun() int
 	// ReleaseRun ends a mark, letting the node drop what only it needed.
 	ReleaseRun(mark int)
-	// RunP95 and RunIPC report run-level aggregates since mark.
+	// RunP95 and RunIPC report run-level aggregates since mark; for a
+	// starved application that completed nothing, RunP95 is the age of
+	// its oldest waiting request.
 	RunP95(app string, mark int) float64
 	RunIPC(app string, mark int) float64
+	// RunCompleted counts the requests app completed since mark, and
+	// RunP95Prefix is the exact p95 over the first n of them: RunP95 as
+	// it read when RunCompleted was n. RunHorizons records the count at
+	// each window's last epoch and selects every window after the run.
+	// With inPlace the selection may reorder those n latencies; the
+	// caller asserts no later selection depends on their order.
+	RunCompleted(app string, mark int) int
+	RunP95Prefix(app string, mark, n int, inPlace bool) float64
 }
 
 var _ Engine = (*sim.Engine)(nil)

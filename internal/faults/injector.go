@@ -94,6 +94,14 @@ func (e *Engine) ReleaseRun(mark int) { e.inner.ReleaseRun(mark) }
 // RunP95 implements core.Engine.
 func (e *Engine) RunP95(app string, mark int) float64 { return e.inner.RunP95(app, mark) }
 
+// RunCompleted implements core.Engine.
+func (e *Engine) RunCompleted(app string, mark int) int { return e.inner.RunCompleted(app, mark) }
+
+// RunP95Prefix implements core.Engine.
+func (e *Engine) RunP95Prefix(app string, mark, n int, inPlace bool) float64 {
+	return e.inner.RunP95Prefix(app, mark, n, inPlace)
+}
+
 // RunIPC implements core.Engine.
 func (e *Engine) RunIPC(app string, mark int) float64 { return e.inner.RunIPC(app, mark) }
 

@@ -71,45 +71,6 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
-func TestP2AgainstExactOnLogNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, p := range []float64{0.5, 0.95, 0.99} {
-		est := NewP2(p)
-		var xs []float64
-		for i := 0; i < 50_000; i++ {
-			v := math.Exp(rng.NormFloat64() * 0.8)
-			est.Add(v)
-			xs = append(xs, v)
-		}
-		exact := Percentile(xs, p)
-		got := est.Value()
-		if rel := math.Abs(got-exact) / exact; rel > 0.05 {
-			t.Errorf("p=%.2f: P2 = %g vs exact %g (rel err %.3f)", p, got, exact, rel)
-		}
-	}
-}
-
-func TestP2SmallSamples(t *testing.T) {
-	est := NewP2(0.95)
-	if !math.IsNaN(est.Value()) {
-		t.Error("empty estimator should report NaN")
-	}
-	est.Add(3)
-	est.Add(1)
-	// With two samples the fallback is the exact interpolated quantile:
-	// 1 + 0.95*(3-1) = 2.9.
-	if got := est.Value(); math.Abs(got-2.9) > 1e-9 {
-		t.Errorf("two-sample p95 = %g, want 2.9", got)
-	}
-	if est.Count() != 2 {
-		t.Errorf("Count = %d", est.Count())
-	}
-	est.Reset()
-	if est.Count() != 0 || !math.IsNaN(est.Value()) {
-		t.Error("Reset did not clear estimator")
-	}
-}
-
 func TestMeanAndMax(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %g", got)
@@ -156,6 +117,40 @@ func TestOrderStatPartitions(t *testing.T) {
 						t.Fatalf("n=%d shape=%d k=%d: xs[%d]=%v breaks the partition around %v", n, shape, k, i, v, got)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPercentileInPlaceMatchesSortedReference pins the selection path
+// against the sort-based reference bit for bit: both surface exact order
+// statistics, so interpolation sees identical inputs.
+func TestPercentileInPlaceMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		if trial%2 == 1 {
+			n += selectSampleMin + rng.Intn(3000) // the sampling branch
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			switch trial % 3 {
+			case 0:
+				xs[i] = rng.NormFloat64()
+			case 1: // duplicate-heavy
+				xs[i] = float64(rng.Intn(5))
+			default:
+				xs[i] = rng.ExpFloat64()
+			}
+		}
+		for _, p := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
+			work := append([]float64(nil), xs...)
+			got := PercentileInPlace(work, p)
+			ref := append([]float64(nil), xs...)
+			sort.Float64s(ref)
+			want := PercentileSorted(ref, p)
+			if got != want {
+				t.Fatalf("trial %d n=%d p=%v: selection %v vs sorted %v", trial, n, p, got, want)
 			}
 		}
 	}

@@ -551,43 +551,55 @@ func (e *Engine) trimRuns() {
 // RunP95 returns the exact p95 over every request completed since mark,
 // which must be live (NaN if none completed). For a starved application with a non-empty
 // backlog it returns the age of the oldest waiting request, the same lower
-// bound the per-window telemetry reports.
+// bound the per-window telemetry reports. It selects on a copy, so it
+// leaves every run as it was; the controller selects through
+// RunP95Prefix.
 func (e *Engine) RunP95(app string, mark int) float64 {
+	if n := e.RunCompleted(app, mark); n > 0 {
+		return e.RunP95Prefix(app, mark, n, false)
+	}
 	i, ok := e.byIdx[app]
 	if !ok {
 		return math.NaN()
 	}
-	a := e.apps[i]
-	off := a.runs[mark].off
-	run := a.lat[off:]
-	if len(run) == 0 {
-		return a.oldestAgeMs(e.nowMs)
-	}
-	if a.winStart == len(a.lat) && !e.markInside(a, off) {
-		// No window is open (always the case between RunWindow calls) and
-		// no other live mark starts inside the run: in-place selection
-		// reorders the run's latencies but preserves their multiset, and
-		// every later reader — a later RunP95 over this mark or one whose
-		// run contains this one — depends on the multiset only. So
-		// repeated calls are unaffected, and the run-length copy the
-		// out-of-place form would make is not paid.
-		return metrics.PercentileInPlace(run, 0.95)
-	}
-	// Select on a copy so the open window's latencies stay in completion
-	// order (its mean keeps its summation order) and a later mark's run
-	// keeps its multiset.
-	return metrics.Percentile(run, 0.95)
+	return e.apps[i].oldestAgeMs(e.nowMs)
 }
 
-// markInside reports whether a live mark's run starts strictly after off
-// in a's latency buffer.
-func (e *Engine) markInside(a *appState, off int) bool {
-	for m, live := range e.marks {
-		if live && a.runs[m].off > off {
-			return true
-		}
+// RunCompleted reports how many requests app completed since mark, which
+// must be live (0 for BE and unknown applications).
+func (e *Engine) RunCompleted(app string, mark int) int {
+	i, ok := e.byIdx[app]
+	if !ok {
+		return 0
 	}
-	return false
+	a := e.apps[i]
+	return len(a.lat) - a.runs[mark].off
+}
+
+// RunP95Prefix returns the exact p95 over the first n requests app
+// completed since mark (NaN when n is 0): RunP95 as it read when
+// RunCompleted was n. The controller records n at each measurement
+// window's last epoch and selects after the run, so one simulation
+// finishes many windows without a select inside its epoch loop.
+//
+// With inPlace, and no window open, the selection reorders those n
+// latencies (never their multiset): the caller asserts that no later
+// reader depends on their order, nor on the multiset of a run that
+// partially overlaps them. Otherwise it selects on a copy, which keeps
+// the open window's latencies in completion order (its mean keeps its
+// summation order).
+func (e *Engine) RunP95Prefix(app string, mark, n int, inPlace bool) float64 {
+	i, ok := e.byIdx[app]
+	if !ok || n <= 0 {
+		return math.NaN()
+	}
+	a := e.apps[i]
+	off := a.runs[mark].off
+	run := a.lat[off : off+n]
+	if inPlace && a.winStart == len(a.lat) {
+		return metrics.PercentileInPlace(run, 0.95)
+	}
+	return metrics.Percentile(run, 0.95)
 }
 
 // Release returns the engine's per-application buffers (random sources,
