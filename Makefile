@@ -72,6 +72,7 @@ md5-full:
 
 fuzz:
 	$(GO) test -fuzz FuzzPercentile -fuzztime 20s ./internal/metrics/
+	$(GO) test -fuzz FuzzOrderStat -fuzztime 20s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
 

@@ -85,7 +85,7 @@ type appState struct {
 	cfg   AppConfig
 	name  string
 	class workload.Class
-	rng   *rand.Rand
+	rng   *stream
 	// arrivals is the arrival-process classification, fixed at construction.
 	arrivals arrivalKind
 
@@ -178,17 +178,17 @@ func (a *appState) pending() []request { return a.queue[a.qHead:] }
 func (a *appState) pendingLen() int { return len(a.queue) - a.qHead }
 
 // appBufs are the per-application buffers an engine returns on Release
-// for the next engine to reuse: the random source (whose 4.9 KB state a
-// fresh rand.NewSource would allocate) and the latency and request
-// buffers grown over a run.
+// for the next engine to reuse: the random stream (whose 4.9 KB register
+// a fresh one would allocate) and the latency and request buffers grown
+// over a run.
 type appBufs struct {
-	rng   *rand.Rand
+	rng   *stream
 	lat   []float64
 	queue []request
 }
 
 // appBufPool recycles appBufs across engines. Only capacity is reused:
-// newAppState re-seeds the source and empties both slices, so an engine
+// newAppState re-seeds the stream and empties both slices, so an engine
 // built from pooled buffers is indistinguishable from a fresh one.
 var appBufPool sync.Pool
 
@@ -199,12 +199,12 @@ func newAppState(cfg AppConfig, seed int64) *appState {
 		class: cfg.Class(),
 	}
 	if b, ok := appBufPool.Get().(*appBufs); ok {
-		// Seed resets the source to exactly the state
-		// rand.New(rand.NewSource(seed)) starts in.
+		// Seed resets the stream to exactly the state
+		// rand.NewSource(seed) starts in.
 		b.rng.Seed(seed)
 		a.rng, a.lat, a.queue = b.rng, b.lat[:0], b.queue[:0]
 	} else {
-		a.rng = rand.New(rand.NewSource(seed))
+		a.rng = newStream(seed)
 	}
 	if cfg.LC != nil {
 		a.svcMu = cfg.LC.ServiceMu()
@@ -287,7 +287,7 @@ func (a *appState) sampleService() float64 {
 		demand = math.Exp(a.svcMu + lc.ServiceSigma*a.rng.NormFloat64())
 	}
 	if lc.Terms != nil {
-		demand *= lc.Terms.Sample(a.rng)
+		demand *= lc.Terms.Sample(a.rng.Float64())
 	}
 	return demand
 }
@@ -405,7 +405,7 @@ func (a *appState) poissonDraw(lambda float64) int {
 		return 0
 	}
 	if lambda > 64 {
-		return poissonNormal(a.rng, lambda)
+		return poissonNormal(a.rng.norm, lambda)
 	}
 	if bits := math.Float64bits(lambda); bits != a.pLambdaBits {
 		a.pLambdaBits = bits
@@ -425,7 +425,7 @@ func poissonNormal(rng *rand.Rand, lambda float64) int {
 }
 
 // poissonKnuth is Knuth's multiplication method given l = exp(-lambda).
-func poissonKnuth(rng *rand.Rand, l float64) int {
+func poissonKnuth(rng *stream, l float64) int {
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()

@@ -318,7 +318,7 @@ func growScratchReq(buf *[]bwReq, n int) []bwReq {
 
 // progress advances every in-service request and accumulates best-effort
 // work for the tick. LC requests are served by worker-thread "slots"; see
-// dispatch.go for the earliest-slot heap. A slot that finishes a short
+// dispatch.go for the earliest-slot dispatchers. A slot that finishes a short
 // request picks up the next queued one within the same tick (the
 // simulator's throughput is not quantised by the tick), mid-tick arrivals
 // only receive service after they arrive, and a request never runs on more

@@ -17,6 +17,10 @@ package sim
 //     permutation [0, 1, …] is already a valid heap; only the slot that
 //     just served a request ever moves, and only downward.
 //
+// Slot arrays of at most smallSlotCount usable slots — every catalog
+// application's — go through dispatchSmall instead: a scan over a stack
+// array, skipped while some slot has not served yet this tick.
+//
 // dispatchLinear preserves the original scan verbatim as the reference
 // implementation; TestHeapDispatchMatchesLinear drives both over
 // randomized queues and slot configurations and demands identical
@@ -138,26 +142,35 @@ const smallSlotCount = 8
 // which picks exactly the slot the heap's (clock, index) order would. All
 // arithmetic on the chosen slot is identical, so completions, clocks and
 // leftover queues match the heap and linear paths bit for bit.
+//
+// Most requests skip the scan. Every slot starts the tick at nowMs and
+// serving a request leaves a slot's clock at or after nowMs, so while some
+// slot has not served yet this tick the scan can only return the lowest
+// such slot: fresh is that slot, and slots serve in index order. The one
+// exception is a served slot whose clock stayed at nowMs (a completion
+// whose remainMs/rate rounds away against nowMs): it ties the fresh slots
+// and, having the lower index, wins the scan, so from then on the tick
+// scans. A request that cannot start before tickEnd touches no slot.
 func (a *appState) dispatchSmall(nowMs, tickEnd float64, usable, isoSlots int, rIso, rShared float64) {
-	var clocks [smallSlotCount]float64
-	for i := 0; i < usable; i++ {
-		clocks[i] = nowMs
-	}
+	var clocks [smallSlotCount]float64 // slot i's clock, once it has served
 	q := a.queue
 	w := a.qHead // carry cursor, as in dispatchHeap
 	qi := a.qHead
+	fresh := 0 // slots [fresh, usable) have not served; usable means scan
 	for ; qi < len(q); qi++ {
-		top := 0
-		c := clocks[0]
-		for i := 1; i < usable; i++ {
-			if clocks[i] < c {
-				top, c = i, clocks[i]
+		top, c := fresh, nowMs
+		if fresh == usable {
+			top, c = 0, clocks[0]
+			for i := 1; i < usable; i++ {
+				if clocks[i] < c {
+					top, c = i, clocks[i]
+				}
 			}
-		}
-		if c >= tickEnd {
-			// Every slot is booked past the tick; the tail [qi, len(q))
-			// waits in place.
-			break
+			if c >= tickEnd {
+				// Every slot is booked past the tick; the tail [qi, len(q))
+				// waits in place.
+				break
+			}
 		}
 		req := &q[qi]
 		start := c
@@ -184,6 +197,16 @@ func (a *appState) dispatchSmall(nowMs, tickEnd float64, usable, isoSlots int, r
 			req.remainMs -= can
 			clocks[top] = tickEnd
 			w = carry(q, w, qi)
+		}
+		if top == fresh {
+			fresh++
+			if clocks[top] <= nowMs {
+				// A tie at nowMs: scan from here on, with the unserved
+				// slots' clocks filled in.
+				for ; fresh < usable; fresh++ {
+					clocks[fresh] = nowMs
+				}
+			}
 		}
 	}
 	a.closeGap(w, qi)

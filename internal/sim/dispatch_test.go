@@ -313,3 +313,51 @@ func TestHeapDispatchNotBeforeStraddlesTick(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallDispatchTieAtNowMs pins dispatchSmall's fallback from the
+// fresh-slot cursor to the scan. The first request is so short that its
+// completion on slot 0 rounds back to nowMs, so slot 0 ties the unserved
+// slots and, as the lowest index, must take the next request too; slot 1,
+// which the cursor would pick, runs at the slower shared rate.
+func TestSmallDispatchTieAtNowMs(t *testing.T) {
+	const nowMs = 1 << 20 // one ulp is 2⁻³², far above the first request's run time
+	build := func() *appState {
+		lc := workload.MustLC("xapian")
+		lc.Threads = 4
+		a := newAppState(AppConfig{LC: &lc}, 1)
+		a.isoCores = 1
+		a.slowdown = 1.25
+		a.sharedShare = 0.5
+		a.deriveRates()
+		for _, r := range []struct{ ago, work float64 }{{2, 1e-12}, {2, 0.3}, {1.5, 0.2}, {1, 0.4}, {0.5, 0.1}} {
+			a.queue = append(a.queue, request{arrivalMs: nowMs - r.ago, remainMs: r.work, notBefore: nowMs - r.ago, user: -1})
+		}
+		return a
+	}
+	s, l := build(), build()
+	if done := nowMs + s.queue[0].remainMs/s.rateIso; done > nowMs {
+		t.Fatalf("the first completion lands at %v, not on nowMs: no tie to test", done)
+	}
+	s.dispatchHeap(nowMs, nowMs+1)
+	l.dispatchLinear(nowMs, nowMs+1)
+	if len(s.lat) != len(l.lat) || len(s.lat) < 3 {
+		t.Fatalf("dispatchSmall completed %d requests, linear %d", len(s.lat), len(l.lat))
+	}
+	for i := range s.lat {
+		if s.lat[i] != l.lat[i] {
+			t.Fatalf("completion %d latency %v (small) != %v (linear)", i, s.lat[i], l.lat[i])
+		}
+	}
+	if want := nowMs + 0.3/s.rateIso - (nowMs - 2); l.lat[1] != want {
+		t.Fatalf("second request's latency %v, want %v from the isolated slot 0", l.lat[1], want)
+	}
+	sq, lq := s.pending(), l.pending()
+	if len(sq) != len(lq) {
+		t.Fatalf("dispatchSmall kept %d requests, linear kept %d", len(sq), len(lq))
+	}
+	for i := range sq {
+		if sq[i] != lq[i] {
+			t.Fatalf("kept request %d differs: %+v (small) != %+v (linear)", i, sq[i], lq[i])
+		}
+	}
+}

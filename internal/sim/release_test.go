@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"ahq/internal/machine"
@@ -121,7 +120,7 @@ func TestReleasedBuffersReproduceFreshEngine(t *testing.T) {
 	for attempt := 0; attempt < 10; attempt++ {
 		dirty := newReuseEngine(t, int64(100+attempt), 0.95)
 		reuseScript(t, dirty, false)
-		released := map[*rand.Rand]bool{}
+		released := map[*stream]bool{}
 		for _, a := range dirty.apps {
 			released[a.rng] = true
 		}

@@ -86,7 +86,7 @@ func FitSigmaWithTerms(app *LCApp) error {
 	fs := make([]float64, n)
 	for i := range zs {
 		zs[i] = rng.NormFloat64()
-		fs[i] = app.Terms.Sample(rng)
+		fs[i] = app.Terms.Sample(rng.Float64())
 	}
 	xs := make([]float64, n)
 	k := int(0.95 * float64(n))

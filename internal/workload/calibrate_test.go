@@ -41,7 +41,7 @@ func referenceFitSigma(app LCApp) float64 {
 		const n = 20000
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = math.Exp(mu+sigma*rng.NormFloat64()) * app.Terms.Sample(rng)
+			xs[i] = math.Exp(mu+sigma*rng.NormFloat64()) * app.Terms.Sample(rng.Float64())
 		}
 		sort.Float64s(xs)
 		return xs[int(0.95*float64(n))]

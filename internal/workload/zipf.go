@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // TermMix models the request-content skew of the paper's load generators:
@@ -94,12 +93,14 @@ func NewTermMix(terms int, skew, coldFactor float64) (*TermMix, error) {
 	return m, nil
 }
 
-// Sample draws a term rank and returns its service-demand multiplier. The
-// rank is the smallest one whose cumulative probability reaches the draw;
-// the guide table narrows the binary search to a handful of ranks, and a
-// Zipfian's head-heavy buckets usually pin it outright.
-func (m *TermMix) Sample(rng *rand.Rand) float64 {
-	return m.factors[m.rank(rng.Float64())]
+// Sample returns the service-demand multiplier of the term rank that the
+// uniform draw u in [0, 1) selects: the smallest rank whose cumulative
+// probability reaches u. The guide table narrows the binary search to a
+// handful of ranks, and a Zipfian's head-heavy buckets usually pin it
+// outright. Taking the draw instead of a generator lets callers use any
+// uniform stream.
+func (m *TermMix) Sample(u float64) float64 {
+	return m.factors[m.rank(u)]
 }
 
 // rank returns the smallest rank whose cumulative probability reaches u,

@@ -69,7 +69,7 @@ func TestTermMixSampleStatistics(t *testing.T) {
 	const n = 200_000
 	hot := 0
 	for i := 0; i < n; i++ {
-		f := m.Sample(rng)
+		f := m.Sample(rng.Float64())
 		sum += f
 		if f == m.Factor(0) {
 			hot++
@@ -98,7 +98,7 @@ func TestFitSigmaPreservesIdealP95(t *testing.T) {
 		xs := make([]float64, n)
 		sum := 0.0
 		for i := range xs {
-			xs[i] = math.Exp(app.ServiceMu()+app.ServiceSigma*rng.NormFloat64()) * app.Terms.Sample(rng)
+			xs[i] = math.Exp(app.ServiceMu()+app.ServiceSigma*rng.NormFloat64()) * app.Terms.Sample(rng.Float64())
 			sum += xs[i]
 		}
 		if mean := sum / n; math.Abs(mean-app.ServiceMeanMs)/app.ServiceMeanMs > 0.02 {
@@ -148,7 +148,7 @@ func BenchmarkTermMixSample(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			sum := 0.0
 			for i := 0; i < b.N; i++ {
-				sum += m.Sample(rng)
+				sum += m.Sample(rng.Float64())
 			}
 			if sum < 0 {
 				b.Fatal(sum)
