@@ -3,8 +3,9 @@
 #   all        - tier-1 gate: build + vet + lint + test + race
 #   build      - compile every package
 #   vet        - go vet
-#   lint       - project static analysis (cmd/ahqlint): determinism,
-#                unitcheck, floatcmp, seedplumb, errwrap (docs/lint.md)
+#   lint       - project static analysis (cmd/ahqlint): detflow,
+#                unitcheck, floatcmp, seedplumb, errwrap, hotpath,
+#                lockcheck, unused (docs/lint.md)
 #   test       - full test suite
 #   test-short - skip the long-horizon tests
 #   race       - test suite under the race detector
@@ -15,11 +16,13 @@
 #   md5-full   - check full-horizon `ahqbench -all` stdout against
 #                results/full.md5 (~50 s on a 2-CPU box)
 #   fuzz       - fuzz the percentile estimators and the fault-plan DSLs
+#   loc        - print the module's non-test Go line count (perfbench/
+#                and lint fixtures excluded)
 #   clean      - remove generated results
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race bench results md5-quick md5-full fuzz clean
+.PHONY: all build vet lint test test-short race bench results md5-quick md5-full fuzz loc clean
 
 all: build vet lint test race
 
@@ -75,6 +78,10 @@ fuzz:
 	$(GO) test -fuzz FuzzOrderStat -fuzztime 20s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
+
+# Non-test Go lines, a tracked size metric (ROADMAP.md north star).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	rm -rf results

@@ -162,6 +162,7 @@ type daemon struct {
 	lastELC   float64
 	lastEBE   float64
 	lastES    float64
+	lastNowMs float64
 	sumES     float64
 	measured  int
 	incidents int
@@ -328,31 +329,6 @@ func (d *daemon) loop(fast bool) {
 	}
 }
 
-// decideSafe isolates Decide the way core.Run does: a panicking strategy
-// loses its turn instead of taking the daemon down.
-func decideSafe(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicMsg = fmt.Sprint(r)
-		}
-	}()
-	return s.Decide(t, cur), ""
-}
-
-// blackoutAt reports whether the fleet plan blacks out this node's
-// telemetry at the given epoch.
-func (d *daemon) blackoutAt(epoch int) bool {
-	if d.fleetPlan.Empty() {
-		return false
-	}
-	for _, ev := range d.fleetPlan.Events {
-		if ev.Kind == faults.NodeBlackout && ev.ActiveAt(epoch) && ev.Hits(0) {
-			return true
-		}
-	}
-	return false
-}
-
 func (d *daemon) stepEpoch() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -367,47 +343,35 @@ func (d *daemon) stepEpoch() {
 		}
 		d.downEpochs++
 		d.degraded++
-		d.history = append(d.history, epochSummary{
-			Epoch:      d.epoch,
-			SimMs:      d.engine.NowMs(),
-			ELC:        -1,
-			EBE:        -1,
-			ES:         -1,
-			Allocation: d.engine.Allocation().String(),
-		})
-		if len(d.history) > historyLen {
-			d.history = d.history[len(d.history)-historyLen:]
-		}
-		d.epoch++
+		d.record(epochSummary{ELC: -1, EBE: -1, ES: -1})
 		return
 	}
 	if d.wasDown {
 		log.Printf("ahqd: node restarted at epoch %d after %d down epochs", d.epoch, d.downEpochs)
 		d.wasDown = false
 	}
-	epochOK := true
 	windows := d.node.RunWindow(d.epochMs)
+	nowMs := d.node.NowMs()
 	// The daemon reads only per-window telemetry, never the run-level
 	// aggregates, so restart its run mark every epoch: the engine keeps
 	// completions from the earliest live mark, and a mark that lived for
 	// the process would keep every request's latency.
 	d.node.ReleaseRun(d.runMark)
 	d.runMark = d.node.MarkRun()
-	if d.blackoutAt(d.epoch) {
+	if d.fleetPlan.At(faults.NodeBlackout, 0, d.epoch) {
 		// Whole-node telemetry blackout: the node keeps running but the
 		// controller sees nothing this epoch.
 		windows = nil
 	}
-	tel := sched.Telemetry{TimeMs: d.node.NowMs(), Epoch: d.epoch, Apps: windows}
-	if len(windows) == 0 {
-		// Dropped telemetry: hold the previous observation rather than
-		// deciding on nothing.
-		log.Printf("ahqd: telemetry dropped at epoch %d, holding previous window", d.epoch)
-		tel.Apps = d.lastTel.Apps
-		tel.TimeMs = d.lastTel.TimeMs
-		tel.ELC, tel.EBE, tel.ES = d.lastELC, d.lastEBE, d.lastES
-		d.incidents++
-		epochOK = false
+	// The same vetting core.RunHorizons applies: a dropped, stale or
+	// corrupt observation is replaced by the previous one, and an entropy
+	// that cannot be computed by the previous entropies, so neither reaches
+	// the strategy.
+	in, epochOK := core.CheckWindows(d.epoch, windows, nowMs, d.lastNowMs)
+	d.lastNowMs = max(d.lastNowMs, nowMs)
+	tel := sched.Telemetry{TimeMs: nowMs, Epoch: d.epoch, Apps: windows}
+	if !epochOK {
+		tel.Apps, tel.TimeMs = d.lastTel.Apps, d.lastTel.TimeMs
 	} else {
 		lc, be := core.SamplesFromWindows(windows)
 		if elc, ebe, es, err := d.sys.Compute(lc, be); err == nil {
@@ -416,8 +380,13 @@ func (d *daemon) stepEpoch() {
 			d.sumES += es
 			d.measured++
 		} else {
-			tel.ELC, tel.EBE, tel.ES = math.NaN(), math.NaN(), math.NaN()
+			in, epochOK = core.Incident{Epoch: d.epoch, Kind: core.IncidentEntropyHeld, Detail: err.Error()}, false
 		}
+	}
+	if !epochOK {
+		log.Printf("ahqd: %s at epoch %d, holding the previous observation: %s", in.Kind, d.epoch, in.Detail)
+		d.incidents++
+		tel.ELC, tel.EBE, tel.ES = d.lastELC, d.lastEBE, d.lastES
 	}
 	tel.TelemetryOK = epochOK
 	d.lastTel = tel
@@ -434,7 +403,7 @@ func (d *daemon) stepEpoch() {
 	if d.fhost != nil {
 		d.fhost.SetEpoch(d.epoch)
 	}
-	next, panicMsg := decideSafe(d.strategy, tel, d.engine.Allocation())
+	next, panicMsg := core.SafeDecide(d.strategy, tel, d.engine.Allocation())
 	if panicMsg != "" {
 		log.Printf("ahqd: strategy panicked at epoch %d, holding allocation: %s", d.epoch, panicMsg)
 		d.incidents++
@@ -451,15 +420,14 @@ func (d *daemon) stepEpoch() {
 	if !epochOK {
 		d.degraded++
 	}
-	d.history = append(d.history, epochSummary{
-		Epoch:      d.epoch,
-		SimMs:      d.engine.NowMs(),
-		ELC:        sanitize(tel.ELC),
-		EBE:        sanitize(tel.EBE),
-		ES:         sanitize(tel.ES),
-		Violations: violations,
-		Allocation: d.engine.Allocation().String(),
-	})
+	d.record(epochSummary{ELC: sanitize(tel.ELC), EBE: sanitize(tel.EBE), ES: sanitize(tel.ES), Violations: violations})
+}
+
+// record stamps the epoch's summary with its number, time and allocation,
+// appends it to the bounded history and ends the epoch.
+func (d *daemon) record(sum epochSummary) {
+	sum.Epoch, sum.SimMs, sum.Allocation = d.epoch, d.engine.NowMs(), d.engine.Allocation().String()
+	d.history = append(d.history, sum)
 	if len(d.history) > historyLen {
 		d.history = d.history[len(d.history)-historyLen:]
 	}

@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"ahq/internal/faults"
+	"ahq/internal/machine"
+	"ahq/internal/sched"
+	"ahq/internal/workload"
 )
 
 func TestParseMix(t *testing.T) {
@@ -299,6 +302,58 @@ func TestDaemonSurvivesChaosPlan(t *testing.T) {
 	}
 }
 
+// recordingStrategy records the system entropy of every observation its
+// Decide receives.
+type recordingStrategy struct {
+	sched.Strategy
+	es []float64
+}
+
+func (r *recordingStrategy) Decide(t sched.Telemetry, cur machine.Allocation) machine.Allocation {
+	r.es = append(r.es, t.ES)
+	return r.Strategy.Decide(t, cur)
+}
+
+// TestDaemonVetsTelemetryLikeCore: NaN-corrupted and stale windows are
+// incidents and degraded epochs, as in core.Run, and the strategy is handed
+// the held observation instead: no NaN entropy reaches Decide.
+func TestDaemonVetsTelemetryLikeCore(t *testing.T) {
+	plan, err := faults.Parse("nan@3x2,stale@6x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon("arq", "xapian:0.5,moses:0.2,img-dnn:0.2+stream", 1, 500, 0.8, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingStrategy{Strategy: d.strategy}
+	d.strategy = rec
+	for i := 0; i < 10; i++ {
+		d.stepEpoch()
+	}
+	w := httptest.NewRecorder()
+	d.handleStatus(w, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+	var status map[string]interface{}
+	if err := json.Unmarshal(w.Body.Bytes(), &status); err != nil {
+		t.Fatal(err)
+	}
+	// Two corrupt epochs (3, 4) and two stale ones (6, 7).
+	if got := status["incidents"].(float64); got != 4 {
+		t.Errorf("status incidents = %v, want the 4 injected faults", got)
+	}
+	if got := status["degraded_epochs"].(float64); got != 4 {
+		t.Errorf("status degraded_epochs = %v, want 4", got)
+	}
+	if len(rec.es) != 10 {
+		t.Fatalf("Decide ran %d times, want once per epoch (10)", len(rec.es))
+	}
+	for epoch, es := range rec.es {
+		if math.IsNaN(es) {
+			t.Errorf("epoch %d: Decide received NaN E_S", epoch)
+		}
+	}
+}
+
 func TestDaemonFleetPlan(t *testing.T) {
 	fp, err := faults.ParseFleet("crash@2x3,blackout@7x2")
 	if err != nil {
@@ -375,13 +430,13 @@ func TestDaemonKeepsNoRunLatencies(t *testing.T) {
 	checked := 0
 	for i := 0; i < 20; i++ {
 		d.stepEpoch()
-		for _, app := range []string{"xapian", "moses"} {
-			if d.engine.QueueLen(app) != 0 {
+		for _, w := range d.lastTel.Apps {
+			if w.Spec.Class != workload.LC || w.QueueLen != 0 {
 				continue // RunP95 would report the oldest waiting request's age
 			}
 			checked++
-			if p := d.engine.RunP95(app, d.runMark); !math.IsNaN(p) {
-				t.Fatalf("epoch %d: %s retains run-level latencies across epochs (RunP95 = %v)", i, app, p)
+			if p := d.engine.RunP95(w.Spec.Name, d.runMark); !math.IsNaN(p) {
+				t.Fatalf("epoch %d: %s retains run-level latencies across epochs (RunP95 = %v)", i, w.Spec.Name, p)
 			}
 		}
 	}

@@ -44,9 +44,6 @@ func NewGP(dim int, lengthScale, signalVar, noiseVar float64) (*GP, error) {
 	return &GP{dim: dim, lengthScale: lengthScale, signalVar: signalVar, noiseVar: noiseVar}, nil
 }
 
-// Len returns the number of observations fitted.
-func (g *GP) Len() int { return len(g.ys) }
-
 // kernel evaluates the RBF kernel.
 func (g *GP) kernel(a, b []float64) float64 {
 	d2 := 0.0

@@ -418,8 +418,8 @@ func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	if hit := <-woke; hit != nil {
 		t.Error("waiter replayed the errored claim instead of claiming the key itself")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache Len = %d, want the waiter's entry only", c.Len())
+	if n := cacheLen(c); n != 1 {
+		t.Fatalf("cache holds %d entries, want the waiter's entry only", n)
 	}
 	// A failed upgrade restores the completed entry it was to replace.
 	_, up, base := c.acquire(k, long)

@@ -151,7 +151,7 @@ type FleetStats struct {
 	// the NodeCache did not replay whole.
 	NodesSimulated int
 	// MemoHits are ticks an engine served without running its contention
-	// resolvers (memo hits, fast-forwarded ticks); Solves are resolver
+	// resolvers (memo hits); Solves are resolver
 	// runs (full fixed-point solves, warm-up ticks included). Summed over
 	// the engines actually driven, MemoHits + Solves is their tick count.
 	MemoHits, Solves uint64

@@ -73,9 +73,6 @@ type NodeCache struct {
 type nodeCacheShard struct {
 	mu      sync.Mutex
 	entries map[string]*nodeCacheEntry // guarded by mu
-	hits    uint64                     // guarded by mu
-	misses  uint64                     // guarded by mu
-	full    uint64                     // guarded by mu
 }
 
 // window is a measurement window of a trajectory: the measured epochs
@@ -138,24 +135,6 @@ type nodeCacheEntry struct {
 	prev *nodeCacheEntry
 }
 
-// NodeCacheStats counts cache traffic. Hits and misses depend only on the
-// sequence of Run invocations sharing the cache, but with racing callers
-// the split between a hit and a single-flight wait depends on scheduling —
-// so, like FleetStats, the counters are for logs and benchmarks, never for
-// deterministic output.
-type NodeCacheStats struct {
-	// Hits counts trajectories whose every window was replayed from an
-	// entry.
-	Hits uint64
-	// Misses counts claims: trajectories that went on to simulate and
-	// publish a new entry or a longer one.
-	Misses uint64
-	// Full counts trajectories that found no entry and could not claim
-	// one because the shard was at capacity; the caller simulated without
-	// publishing.
-	Full uint64
-}
-
 // NewNodeCache returns an empty cache ready for concurrent use.
 func NewNodeCache() *NodeCache {
 	c := &NodeCache{}
@@ -163,33 +142,6 @@ func NewNodeCache() *NodeCache {
 		c.shards[i].entries = make(map[string]*nodeCacheEntry) //ahqlint:allow lockcheck construction precedes sharing; no other goroutine can hold the cache yet
 	}
 	return c
-}
-
-// Len reports the number of cached trajectories, including in-flight
-// claims (for tests and telemetry).
-func (c *NodeCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Stats returns the accumulated counters.
-func (c *NodeCache) Stats() NodeCacheStats {
-	var st NodeCacheStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Full += s.full
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // cacheKey is a NodeCache content address together with the hash that
@@ -258,24 +210,20 @@ func (c *NodeCache) acquire(key cacheKey, need []window) (hit trajRecords, claim
 		switch {
 		case e == nil:
 			if len(s.entries) >= nodeCacheShardMaxEntries {
-				s.full++
 				s.mu.Unlock()
 				return nil, nil, nil
 			}
 			claim = &nodeCacheEntry{done: make(chan struct{})} //ahqlint:allow hotpath miss-path-only: one claim per trajectory simulated
 			s.entries[key.s] = claim
-			s.misses++
 			s.mu.Unlock()
 			return nil, claim, nil
 		case e.completed():
 			if e.recs.covers(need) {
-				s.hits++
 				s.mu.Unlock()
 				return e.recs, nil, nil
 			}
 			claim = &nodeCacheEntry{done: make(chan struct{}), prev: e} //ahqlint:allow hotpath miss-path-only: one claim per trajectory simulated
 			s.entries[key.s] = claim
-			s.misses++
 			s.mu.Unlock()
 			return nil, claim, e.recs
 		}

@@ -193,7 +193,7 @@ func supervise(plan *faults.FleetPlan, placement [][]sim.AppConfig, spec machine
 				}
 				down[i] = nd
 			}
-			if dg := plan.DegradedAt(i, e); dg != degraded[i] {
+			if dg := plan.At(faults.NodeDegrade, i, e); dg != degraded[i] {
 				cut()
 				degraded[i] = dg
 			}

@@ -154,9 +154,9 @@ func safeInit(s sched.Strategy, spec machine.Spec, apps []sched.AppSpec) (alloc 
 	return s.Init(spec, apps), ""
 }
 
-// safeDecide calls strategy.Decide, converting a panic into a recorded
+// SafeDecide calls strategy.Decide, converting a panic into a recorded
 // message; the caller holds the current allocation in that case.
-func safeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
+func SafeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicMsg = fmt.Sprint(r)
@@ -165,24 +165,37 @@ func safeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (ne
 	return s.Decide(t, cur), ""
 }
 
-// corruptWindows reports why an epoch's windows are physically impossible
-// ("" when plausible): completions with NaN latency, negative latency, or
-// NaN/negative BE IPC. Such windows come from a corrupted telemetry path
-// and must not reach the entropy computation or be mistaken for starvation.
-func corruptWindows(ws []sched.AppWindow) string {
-	for _, w := range ws {
+// CheckWindows vets an epoch's windows before anything reads them. It
+// returns the incident that disqualifies them and false: no windows
+// delivered (dropped), a timestamp nowMs that did not advance past
+// lastNowMs (a stale replay), or physically impossible metrics — LC
+// completions with a NaN or negative p95, NaN or negative BE IPC — which
+// come from a corrupted telemetry path and must not reach the entropy
+// computation or be mistaken for starvation. Fresh, plausible windows
+// return true.
+func CheckWindows(epoch int, windows []sched.AppWindow, nowMs, lastNowMs float64) (Incident, bool) {
+	bad := func(kind IncidentKind, detail string) (Incident, bool) {
+		return Incident{Epoch: epoch, Kind: kind, Detail: detail}, false
+	}
+	switch {
+	case len(windows) == 0:
+		return bad(IncidentTelemetryDropped, "no windows delivered")
+	case nowMs <= lastNowMs:
+		return bad(IncidentTelemetryStale, fmt.Sprintf("window timestamp %.0f ms did not advance", nowMs))
+	}
+	for _, w := range windows {
 		if w.Spec.Class == workload.LC {
 			if w.Completed > 0 && math.IsNaN(w.P95Ms) {
-				return w.Spec.Name + ": completions with NaN p95"
+				return bad(IncidentTelemetryCorrupt, w.Spec.Name+": completions with NaN p95")
 			}
 			if !math.IsNaN(w.P95Ms) && w.P95Ms < 0 {
-				return w.Spec.Name + ": negative p95"
+				return bad(IncidentTelemetryCorrupt, w.Spec.Name+": negative p95")
 			}
 		} else if math.IsNaN(w.IPC) || w.IPC < 0 {
-			return w.Spec.Name + ": NaN or negative IPC"
+			return bad(IncidentTelemetryCorrupt, w.Spec.Name+": NaN or negative IPC")
 		}
 	}
-	return ""
+	return Incident{}, true
 }
 
 // Run drives the engine under the strategy for warm-up plus the measured
@@ -364,22 +377,9 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 		windows := engine.RunWindow(base.EpochMs)
 		nowMs := engine.NowMs()
 
-		winOK := true
-		switch {
-		case len(windows) == 0:
-			winOK = false
-			incidents = append(incidents, Incident{Epoch: epoch,
-				Kind: IncidentTelemetryDropped, Detail: "no windows delivered"})
-		case nowMs <= lastNowMs:
-			winOK = false
-			incidents = append(incidents, Incident{Epoch: epoch,
-				Kind: IncidentTelemetryStale, Detail: fmt.Sprintf("window timestamp %.0f ms did not advance", nowMs)})
-		default:
-			if why := corruptWindows(windows); why != "" {
-				winOK = false
-				incidents = append(incidents, Incident{Epoch: epoch,
-					Kind: IncidentTelemetryCorrupt, Detail: why})
-			}
+		in, winOK := CheckWindows(epoch, windows, nowMs, lastNowMs)
+		if !winOK {
+			incidents = append(incidents, in)
 		}
 		if nowMs > lastNowMs {
 			lastNowMs = nowMs
@@ -460,7 +460,7 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 		}
 
 		cur := engine.Allocation()
-		next, panicMsg := safeDecide(strategy, tel, cur)
+		next, panicMsg := SafeDecide(strategy, tel, cur)
 		if panicMsg != "" {
 			incidents = append(incidents, Incident{Epoch: epoch,
 				Kind: IncidentStrategyPanic, Detail: panicMsg})

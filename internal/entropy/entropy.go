@@ -18,11 +18,6 @@ import (
 // throughout the paper's evaluation.
 const DefaultRI = 0.8
 
-// ThresholdElasticity is the relative elasticity the paper assumes for the
-// user-defined tail-latency threshold M_i (Section II-B): violations within
-// 5% of M_i are considered within the threshold's slack.
-const ThresholdElasticity = 0.05
-
 // LCSample is one latency-critical application's measurement triple.
 type LCSample struct {
 	// Name identifies the application (optional; used in reports).
@@ -227,11 +222,4 @@ func (sys System) Compute(lc []LCSample, be []BESample) (elc, ebe, es float64, e
 	}
 	es = ri*elc + (1-ri)*ebe
 	return elc, ebe, es, nil
-}
-
-// ES is a convenience wrapper over System{RI: DefaultRI}.Compute returning
-// only the system entropy.
-func ES(lc []LCSample, be []BESample) (float64, error) {
-	_, _, es, err := System{RI: DefaultRI}.Compute(lc, be)
-	return es, err
 }

@@ -245,16 +245,3 @@ func TestPropertyRIMonotone(t *testing.T) {
 		prev = es
 	}
 }
-
-func TestESConvenience(t *testing.T) {
-	lc := []LCSample{{IdealMs: 1, MeasuredMs: 4, TargetMs: 2}}
-	be := []BESample{{SoloIPC: 2, MeasuredIPC: 1}}
-	es, err := ES(lc, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, want, _ := System{RI: DefaultRI}.Compute(lc, be)
-	if es != want {
-		t.Errorf("ES = %g, want %g", es, want)
-	}
-}

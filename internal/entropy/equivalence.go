@@ -40,6 +40,8 @@ func NewCurve(points []Point) (*Curve, error) {
 
 // ESAt linearly interpolates the entropy at the given resource amount,
 // clamping outside the measured range.
+//
+//ahqlint:allow unused public API through the ahq.EquivalenceCurve alias
 func (c *Curve) ESAt(resource float64) float64 {
 	ps := c.points
 	if resource <= ps[0].Resource {
@@ -100,6 +102,8 @@ func Equivalence(baseline, better *Curve, es float64) (float64, error) {
 // consecutive points as resources grow (0 for a perfectly monotone curve).
 // The paper's property ② requires E_S to not increase with resources;
 // simulation noise permits small violations, which tests bound.
+//
+//ahqlint:allow unused public API through the ahq.EquivalenceCurve alias
 func (c *Curve) MonotoneViolation() float64 {
 	worst := 0.0
 	for i := 1; i < len(c.points); i++ {
@@ -111,6 +115,8 @@ func (c *Curve) MonotoneViolation() float64 {
 }
 
 // Min returns the smallest entropy on the curve.
+//
+//ahqlint:allow unused public API through the ahq.EquivalenceCurve alias
 func (c *Curve) Min() float64 {
 	m := math.Inf(1)
 	for _, p := range c.points {
@@ -122,6 +128,8 @@ func (c *Curve) Min() float64 {
 }
 
 // Points returns a copy of the curve's points, sorted by resource amount.
+//
+//ahqlint:allow unused public API through the ahq.EquivalenceCurve alias
 func (c *Curve) Points() []Point {
 	return append([]Point(nil), c.points...)
 }

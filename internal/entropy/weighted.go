@@ -101,21 +101,3 @@ func (sys WeightedSystem) Compute(lc []Weighted[LCSample], be []Weighted[BESampl
 	}
 	return elc, ebe, ri*elc + (1-ri)*ebe, nil
 }
-
-// EvenLCWeights adapts plain samples to the weighted form with weight 1.
-func EvenLCWeights(samples []LCSample) []Weighted[LCSample] {
-	out := make([]Weighted[LCSample], len(samples))
-	for i, s := range samples {
-		out[i] = Weighted[LCSample]{Sample: s, Weight: 1}
-	}
-	return out
-}
-
-// EvenBEWeights adapts plain samples to the weighted form with weight 1.
-func EvenBEWeights(samples []BESample) []Weighted[BESample] {
-	out := make([]Weighted[BESample], len(samples))
-	for i, s := range samples {
-		out[i] = Weighted[BESample]{Sample: s, Weight: 1}
-	}
-	return out
-}

@@ -15,15 +15,23 @@ func TestWeightedReducesToPlainWithEqualWeights(t *testing.T) {
 	plainEBE, _ := EBE(be)
 	_, _, plainES, _ := System{RI: 0.8}.Compute(lc, be)
 
-	welc, err := WeightedELC(EvenLCWeights(lc))
+	wlc := make([]Weighted[LCSample], len(lc))
+	for i, x := range lc {
+		wlc[i] = Weighted[LCSample]{Sample: x, Weight: 1}
+	}
+	wbe := make([]Weighted[BESample], len(be))
+	for i, x := range be {
+		wbe[i] = Weighted[BESample]{Sample: x, Weight: 1}
+	}
+	welc, err := WeightedELC(wlc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	webe, err := WeightedEBE(EvenBEWeights(be))
+	webe, err := WeightedEBE(wbe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, wes, err := WeightedSystem{RI: 0.8}.Compute(EvenLCWeights(lc), EvenBEWeights(be))
+	_, _, wes, err := WeightedSystem{RI: 0.8}.Compute(wlc, wbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +97,14 @@ func TestWeightedValidation(t *testing.T) {
 	if _, err := WeightedELC(nil); !errors.Is(err, ErrNoSamples) {
 		t.Error("empty weighted ELC")
 	}
-	if _, _, _, err := (WeightedSystem{RI: 2}).Compute(nil, EvenBEWeights([]BESample{{SoloIPC: 1, MeasuredIPC: 1}})); err == nil {
+	if _, _, _, err := (WeightedSystem{RI: 2}).Compute(nil, []Weighted[BESample]{{Sample: BESample{SoloIPC: 1, MeasuredIPC: 1}, Weight: 1}}); err == nil {
 		t.Error("bad RI accepted")
 	}
 }
 
 func TestWeightedSystemDegeneration(t *testing.T) {
-	lc := EvenLCWeights([]LCSample{{IdealMs: 1, MeasuredMs: 4, TargetMs: 2}})
-	be := EvenBEWeights([]BESample{{SoloIPC: 2, MeasuredIPC: 1}})
+	lc := []Weighted[LCSample]{{Sample: LCSample{IdealMs: 1, MeasuredMs: 4, TargetMs: 2}, Weight: 1}}
+	be := []Weighted[BESample]{{Sample: BESample{SoloIPC: 2, MeasuredIPC: 1}, Weight: 1}}
 	_, _, es, err := WeightedSystem{RI: 0.3}.Compute(lc, nil)
 	if err != nil || math.Abs(es-0.5) > 1e-12 {
 		t.Errorf("LC-only: es=%g err=%v", es, err)

@@ -115,7 +115,7 @@ type FleetEvent struct {
 	// Sel picks the victims; ignored once Victims is resolved.
 	Sel Selector
 	// Victims holds the resolved victim node indices, ascending; nil until
-	// Resolve (or GenerateFleet) assigns them.
+	// Resolve assigns them.
 	Victims []int
 }
 
@@ -318,55 +318,6 @@ func (p *FleetPlan) Resolve(seed int64, n int) (*FleetPlan, error) {
 	return &FleetPlan{Events: events}, nil
 }
 
-// Resolved reports whether every event carries victims.
-func (p *FleetPlan) Resolved() bool {
-	if p == nil {
-		return true
-	}
-	for _, e := range p.Events {
-		if e.Victims == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// GenerateFleet draws a reproducible random fleet plan over a fleet of n
-// nodes and a default 120-epoch horizon: for each fault kind up to two
-// events at random epochs with durations of two to eight epochs hitting up
-// to 5% of the fleet; crash events are occasionally persistent. Victims
-// are resolved from the same seed, so equal (seed, n) yield equal plans.
-func GenerateFleet(seed int64, n int) *FleetPlan {
-	const horizon = 120
-	rng := rand.New(rand.NewSource(seed))
-	p := &FleetPlan{}
-	maxVictims := n / 20
-	if maxVictims < 1 {
-		maxVictims = 1
-	}
-	for k := FleetKind(0); k < numFleetKinds; k++ {
-		for i, cnt := 0, rng.Intn(3); i < cnt; i++ {
-			ev := FleetEvent{
-				Kind:   k,
-				Epoch:  1 + rng.Intn(horizon-1),
-				Epochs: 2 + rng.Intn(7),
-				Sel:    Selector{Node: -1, Count: 1 + rng.Intn(maxVictims)},
-			}
-			if k == NodeCrash && rng.Intn(5) == 0 {
-				ev.Persistent = true
-			}
-			p.Events = append(p.Events, ev)
-		}
-	}
-	sortFleetEvents(p.Events)
-	resolved, err := p.Resolve(seed, n)
-	if err != nil {
-		// Unreachable: generated selectors are always within bounds.
-		panic(err)
-	}
-	return resolved
-}
-
 // sortFleetEvents orders events canonically: by epoch, kind, duration,
 // then selector rendering, so String output — and the victim draw, which
 // consumes the seeded stream in event order — is stable.
@@ -389,69 +340,22 @@ func sortFleetEvents(events []FleetEvent) {
 	})
 }
 
-// DownAt reports whether the node is crashed at the epoch. The plan must
-// be resolved.
-func (p *FleetPlan) DownAt(node, epoch int) bool {
+// At reports whether an event of the kind covers the node at the epoch.
+// The plan must be resolved.
+func (p *FleetPlan) At(kind FleetKind, node, epoch int) bool {
 	if p == nil {
 		return false
 	}
 	for _, e := range p.Events {
-		if e.Kind == NodeCrash && e.ActiveAt(epoch) && e.Hits(node) {
+		if e.Kind == kind && e.ActiveAt(epoch) && e.Hits(node) {
 			return true
 		}
 	}
 	return false
 }
 
-// DegradedAt reports whether the node runs with shrunken capacity at the
-// epoch. The plan must be resolved.
-func (p *FleetPlan) DegradedAt(node, epoch int) bool {
-	if p == nil {
-		return false
-	}
-	for _, e := range p.Events {
-		if e.Kind == NodeDegrade && e.ActiveAt(epoch) && e.Hits(node) {
-			return true
-		}
-	}
-	return false
-}
-
-// Boundaries returns the sorted distinct epochs in (0, total) at which any
-// crash or degrade event starts or ends — the epochs where the fleet's
-// physical configuration changes and a phased simulation must cut a new
-// segment. Blackout events are excluded: they lower to node-local
-// telemetry faults inside a segment and never change the configuration.
-func (p *FleetPlan) Boundaries(total int) []int {
-	if p.Empty() {
-		return nil
-	}
-	set := map[int]bool{}
-	add := func(e int) {
-		if e > 0 && e < total {
-			set[e] = true
-		}
-	}
-	for _, e := range p.Events {
-		if e.Kind == NodeBlackout {
-			continue
-		}
-		add(e.Epoch)
-		if !e.Persistent {
-			n := e.Epochs
-			if n < 1 {
-				n = 1
-			}
-			add(e.Epoch + n)
-		}
-	}
-	out := make([]int, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out
-}
+// DownAt reports whether the node is crashed at the epoch.
+func (p *FleetPlan) DownAt(node, epoch int) bool { return p.At(NodeCrash, node, epoch) }
 
 // BlackoutPlan lowers the node's blackout coverage inside the epoch range
 // [from, to) to a node-local telemetry fault plan: one TelemetryDrop event
@@ -475,14 +379,7 @@ func (p *FleetPlan) BlackoutPlan(node, from, to int) *Plan {
 		start, run = -1, 0
 	}
 	for e := from; e < to; e++ {
-		dark := false
-		for _, ev := range p.Events {
-			if ev.Kind == NodeBlackout && ev.ActiveAt(e) && ev.Hits(node) {
-				dark = true
-				break
-			}
-		}
-		if dark {
+		if p.At(NodeBlackout, node, e) {
 			if run == 0 {
 				start = e - from
 			}

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"ahq/internal/machine"
@@ -97,8 +96,10 @@ func TestResolveDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Resolve not deterministic:\n%+v\n%+v", a, b)
 	}
-	if !a.Resolved() {
-		t.Fatal("Resolve left events without victims")
+	for _, e := range a.Events {
+		if e.Victims == nil {
+			t.Fatal("Resolve left events without victims")
+		}
 	}
 	// 5% of 200 = 10 victims; all distinct, in range, sorted.
 	crash := a.Events[0]
@@ -156,29 +157,6 @@ func TestResolveExplicitNodeAndBounds(t *testing.T) {
 	}
 }
 
-func TestGenerateFleetDeterministic(t *testing.T) {
-	a := GenerateFleet(7, 100)
-	b := GenerateFleet(7, 100)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("GenerateFleet not deterministic:\n%+v\n%+v", a, b)
-	}
-	if !a.Resolved() {
-		t.Fatal("GenerateFleet returned unresolved events")
-	}
-	c := GenerateFleet(8, 100)
-	if reflect.DeepEqual(a, c) && !a.Empty() {
-		t.Error("seeds 7 and 8 generated identical non-empty plans")
-	}
-	// Re-resolving a generated (already resolved) plan keeps its victims.
-	re, err := a.Resolve(999, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Events, re.Events) {
-		t.Error("Resolve re-drew victims of an already resolved plan")
-	}
-}
-
 func TestDownAtAndDegradedAt(t *testing.T) {
 	p, err := ParseFleet("crash@10x3/node=2,degrade@5+/node=4")
 	if err != nil {
@@ -199,35 +177,11 @@ func TestDownAtAndDegradedAt(t *testing.T) {
 			t.Errorf("DownAt(%d,%d) = %v, want %v", tc.node, tc.epoch, got, tc.down)
 		}
 	}
-	if r.DegradedAt(4, 4) || !r.DegradedAt(4, 5) || !r.DegradedAt(4, 1000) {
-		t.Error("DegradedAt wrong for persistent degrade@5 on node 4")
+	if r.At(NodeDegrade, 4, 4) || !r.At(NodeDegrade, 4, 5) || !r.At(NodeDegrade, 4, 1000) {
+		t.Error("At(NodeDegrade) wrong for persistent degrade@5 on node 4")
 	}
-	if r.DegradedAt(2, 6) {
-		t.Error("DegradedAt hit an un-degraded node")
-	}
-}
-
-func TestBoundaries(t *testing.T) {
-	p, err := ParseFleet("crash@10x3/node=0,degrade@5+/node=1,blackout@2x4/node=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Resolve(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// crash contributes 10 and 13; persistent degrade contributes 5 only;
-	// blackout contributes nothing (no configuration change).
-	got := r.Boundaries(40)
-	want := []int{5, 10, 13}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Boundaries(40) = %v, want %v", got, want)
-	}
-	// Boundaries at or past the horizon are dropped.
-	got = r.Boundaries(12)
-	want = []int{5, 10}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Boundaries(12) = %v, want %v", got, want)
+	if r.At(NodeDegrade, 2, 6) {
+		t.Error("At(NodeDegrade) hit an un-degraded node")
 	}
 }
 
@@ -286,27 +240,6 @@ func TestFleetEventHits(t *testing.T) {
 	for node, want := range map[int]bool{0: false, 2: true, 3: false, 5: true, 9: true, 10: false} {
 		if got := e.Hits(node); got != want {
 			t.Errorf("Hits(%d) = %v, want %v", node, got, want)
-		}
-	}
-}
-
-func TestGenerateFleetVictimCap(t *testing.T) {
-	// At any size, no generated event selects more than ~5% of the fleet
-	// (floored at one victim).
-	for _, n := range []int{1, 10, 100, 1000} {
-		p := GenerateFleet(3, n)
-		cap := n / 20
-		if cap < 1 {
-			cap = 1
-		}
-		for _, e := range p.Events {
-			if len(e.Victims) > cap {
-				t.Errorf("n=%d: event %s has %d victims, cap %d", n, e, len(e.Victims), cap)
-			}
-		}
-		// String stays parseable.
-		if _, err := ParseFleet(p.String()); err != nil && !strings.Contains(p.String(), "-") {
-			t.Errorf("n=%d: generated plan %q not parseable: %v", n, p.String(), err)
 		}
 	}
 }

@@ -46,9 +46,6 @@ func NewInjector(plan *Plan) *Injector {
 	return &Injector{plan: plan}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // Stats returns the faults injected so far.
 func (in *Injector) Stats() Stats { return in.stats }
 

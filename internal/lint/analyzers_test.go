@@ -24,6 +24,13 @@ func TestHotPathFixture(t *testing.T) {
 	linttest.RunProgram(t, ".", lint.HotPath, "./testdata/src/hotpath")
 }
 
+// TestUnusedFixture loads the fixture root and the helper package it
+// imports, so a cross-package reference counts as a use.
+func TestUnusedFixture(t *testing.T) {
+	linttest.RunProgram(t, ".", lint.Unused,
+		"./testdata/src/unused", "./testdata/src/unused/helper")
+}
+
 func TestLockCheckFixture(t *testing.T) {
 	linttest.Run(t, ".", lint.LockCheck, "./testdata/src/lockcheck")
 }
@@ -71,8 +78,9 @@ func TestEachFixtureViolationHasOneAnalyzer(t *testing.T) {
 // TestScoping pins the AppliesTo package scoping: detflow and floatcmp
 // are restricted to the simulation core (plus, for detflow, the fixture
 // root — but not its helper — so the golden test can exercise the scope
-// boundary), unitcheck exempts internal/units, and the rest are
-// module-wide.
+// boundary), unitcheck exempts internal/units, unused skips the root
+// facade, the test-helper packages and other analyzers' fixtures, and the
+// rest are module-wide.
 func TestScoping(t *testing.T) {
 	cases := []struct {
 		analyzer *lint.Analyzer
@@ -92,6 +100,12 @@ func TestScoping(t *testing.T) {
 		{lint.FloatCmp, "ahq/internal/cluster", false},
 		{lint.UnitCheck, "ahq/internal/units", false},
 		{lint.UnitCheck, "ahq/cmd/ahqd", true},
+		{lint.Unused, "ahq", false},
+		{lint.Unused, "ahq/internal/sched/schedtest", false},
+		{lint.Unused, "ahq/internal/lint/linttest", false},
+		{lint.Unused, "ahq/internal/sim", true},
+		{lint.Unused, "ahq/internal/lint/testdata/src/detflow", false},
+		{lint.Unused, "ahq/internal/lint/testdata/src/unused/helper", true},
 	}
 	for _, c := range cases {
 		if got := c.analyzer.AppliesTo(c.pkgPath); got != c.want {

@@ -328,6 +328,7 @@ func All() []*Analyzer {
 		ErrWrap,
 		HotPath,
 		LockCheck,
+		Unused,
 	}
 }
 

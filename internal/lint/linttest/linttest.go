@@ -9,6 +9,8 @@
 //
 // Each backquoted or double-quoted string is a regular expression that
 // must match the message of exactly one finding reported on that line.
+// The expectation may also close another comment, which is how a stale
+// //ahqlint:allow annotation states the suppress finding it draws.
 // Lines with //ahqlint:allow annotations exercise the suppression path
 // and must therefore produce no finding.
 //
@@ -46,7 +48,7 @@ func collectWants(t *testing.T, pkgs []*lint.Package) map[string][]*want {
 		for _, f := range pkg.Syntax {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "// want ")
+					_, text, ok := strings.Cut(c.Text, "// want ")
 					if !ok {
 						continue
 					}

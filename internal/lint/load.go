@@ -29,10 +29,8 @@ type Package struct {
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Export     string
-	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
@@ -49,7 +47,7 @@ type listPackage struct {
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,GoFiles,Export,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)

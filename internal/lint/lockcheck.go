@@ -56,11 +56,9 @@ const (
 
 // guardedField records one `// guarded by` declaration.
 type guardedField struct {
-	structType *types.Struct
-	field      *types.Var // the protected field
-	guard      *types.Var // the sibling guard field
-	guardName  string
-	kind       guardKind
+	field     *types.Var // the protected field
+	guardName string
+	kind      guardKind
 }
 
 func runLockCheck(pass *Pass) {
@@ -126,10 +124,7 @@ func collectGuardedFields(pass *Pass) []*guardedField {
 					if v == nil {
 						continue
 					}
-					out = append(out, &guardedField{
-						structType: styp, field: v, guard: guard,
-						guardName: guardName, kind: kind,
-					})
+					out = append(out, &guardedField{field: v, guardName: guardName, kind: kind})
 				}
 			}
 			return true

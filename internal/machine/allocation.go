@@ -152,17 +152,6 @@ func (a *Allocation) IsolatedRegionOf(app string) *Region {
 	return nil
 }
 
-// RegionsOf returns the indices of all regions app belongs to.
-func (a Allocation) RegionsOf(app string) []int {
-	var idx []int
-	for i, g := range a.Regions {
-		if g.Has(app) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // Used returns the total amount of resource r assigned across all regions.
 func (a Allocation) Used(r Resource) int {
 	total := 0

@@ -106,9 +106,6 @@ func TestAllocationLookups(t *testing.T) {
 	if g := a.SharedRegion(); g == nil || g.Name != "shared" {
 		t.Errorf("SharedRegion() = %v", g)
 	}
-	if got := a.RegionsOf("xapian"); len(got) != 2 {
-		t.Errorf("RegionsOf(xapian) = %v, want both regions", got)
-	}
 	if g := a.Region("nope"); g != nil {
 		t.Errorf("Region(nope) = %v", g)
 	}

@@ -149,6 +149,8 @@ func floydRivest(xs []float64, left, right, k int) {
 
 // PercentileSorted is like Percentile but requires the input to be sorted
 // ascending and does not copy it.
+//
+//ahqlint:allow unused the reference the percentile and TailStats tests compare selections against
 func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
@@ -172,10 +174,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// P95 returns the 95th-percentile of the samples; the paper uses p95 as its
-// tail-latency metric throughout.
-func P95(samples []float64) float64 { return Percentile(samples, 0.95) }
 
 // Mean returns the arithmetic mean, or NaN for an empty slice.
 func Mean(samples []float64) float64 {

@@ -1,5 +1,5 @@
-// Package queueing provides analytic M/M/c results (Erlang-C waiting
-// probability, mean and tail sojourn times). The workload models are
+// Package queueing provides analytic M/M/c results (the Erlang-C waiting
+// probability and waiting-time percentiles). The workload models are
 // calibrated against these formulas, and the simulator's solo behaviour is
 // validated against them in tests: an LC application with t worker threads
 // on >= t cores behaves as an M/G/t queue, for which the M/M/t results are a
@@ -56,36 +56,6 @@ func (q MMc) WaitProbability() (float64, error) {
 	return ErlangC(q.Servers, q.ArrivalRate/q.ServiceRate)
 }
 
-// MeanWait returns the mean time in queue (excluding service), ms.
-func (q MMc) MeanWait() (float64, error) {
-	pw, err := q.WaitProbability()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	c := float64(q.Servers)
-	return pw / (c*q.ServiceRate - q.ArrivalRate), nil
-}
-
-// MeanSojourn returns the mean total time in system, ms.
-func (q MMc) MeanSojourn() (float64, error) {
-	w, err := q.MeanWait()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return w + 1/q.ServiceRate, nil
-}
-
-// WaitTail returns P(Wq > t): the probability the queueing delay exceeds t
-// ms. For M/M/c this is Pw * exp(-(c*mu-lambda) t).
-func (q MMc) WaitTail(t float64) (float64, error) {
-	pw, err := q.WaitProbability()
-	if err != nil {
-		return 1, err
-	}
-	c := float64(q.Servers)
-	return pw * math.Exp(-(c*q.ServiceRate-q.ArrivalRate)*t), nil
-}
-
 // WaitPercentile returns the p-quantile of the queueing delay in ms
 // (0 when the no-wait probability already exceeds p).
 func (q MMc) WaitPercentile(p float64) (float64, error) {
@@ -98,16 +68,6 @@ func (q MMc) WaitPercentile(p float64) (float64, error) {
 	}
 	c := float64(q.Servers)
 	return math.Log(pw/(1-p)) / (c*q.ServiceRate - q.ArrivalRate), nil
-}
-
-// SojournPercentileMM1 returns the exact p-quantile of total sojourn time
-// for the single-server case (c == 1), where sojourn is exponential with
-// rate mu - lambda.
-func SojournPercentileMM1(lambda, mu, p float64) (float64, error) {
-	if lambda >= mu {
-		return math.Inf(1), ErrUnstable
-	}
-	return -math.Log(1-p) / (mu - lambda), nil
 }
 
 // MGc approximates an M/G/c queue via the Allen-Cunneen correction: the
@@ -132,15 +92,6 @@ func (q MGc) base() MMc {
 
 // Rho returns the per-server utilisation.
 func (q MGc) Rho() float64 { return q.base().Rho() }
-
-// MeanWait returns the Allen-Cunneen mean queueing delay in ms.
-func (q MGc) MeanWait() (float64, error) {
-	w, err := q.base().MeanWait()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return w * (1 + q.ServiceCV2) / 2, nil
-}
 
 // WaitPercentile approximates the p-quantile of the queueing delay by
 // scaling the M/M/c percentile with the same Allen-Cunneen factor.

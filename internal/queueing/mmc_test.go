@@ -64,49 +64,44 @@ func TestErlangCProperties(t *testing.T) {
 
 func TestMM1ClosedForms(t *testing.T) {
 	q := MMc{Servers: 1, ArrivalRate: 0.5, ServiceRate: 1}
-	w, err := q.MeanWait()
+	// M/M/1: P(wait) = rho, and P(Wq > t) = rho*exp(-(mu-lambda)t), so the
+	// p-quantile of the wait is ln(rho/(1-p))/(mu-lambda).
+	pw, err := q.WaitProbability()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// M/M/1: Wq = rho/(mu-lambda) = 0.5/0.5 = 1.
-	if math.Abs(w-1) > 1e-9 {
-		t.Errorf("MeanWait = %g, want 1", w)
+	if math.Abs(pw-0.5) > 1e-9 {
+		t.Errorf("WaitProbability = %g, want 0.5", pw)
 	}
-	s, err := q.MeanSojourn()
+	p95, err := q.WaitPercentile(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(s-2) > 1e-9 {
-		t.Errorf("MeanSojourn = %g, want 2", s)
-	}
-	p95, err := SojournPercentileMM1(0.5, 1, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -math.Log(0.05) / 0.5
-	if math.Abs(p95-want) > 1e-9 {
-		t.Errorf("SojournPercentileMM1 = %g, want %g", p95, want)
+	if want := math.Log(0.5/0.05) / 0.5; math.Abs(p95-want) > 1e-9 {
+		t.Errorf("WaitPercentile(0.95) = %g, want %g", p95, want)
 	}
 }
 
+// TestWaitPercentileConsistentWithTail checks WaitPercentile against the
+// M/M/c waiting-time tail P(Wq > t) = Pw*exp(-(c*mu-lambda)t).
 func TestWaitPercentileConsistentWithTail(t *testing.T) {
 	q := MMc{Servers: 4, ArrivalRate: 3.0, ServiceRate: 1}
+	pw, err := q.WaitProbability()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []float64{0.5, 0.9, 0.95, 0.99} {
 		tp, err := q.WaitPercentile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tp == 0 {
-			pw, _ := q.WaitProbability()
 			if 1-pw < p {
 				t.Errorf("p=%g: percentile 0 but no-wait prob %g < p", p, 1-pw)
 			}
 			continue
 		}
-		tail, err := q.WaitTail(tp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tail := pw * math.Exp(-(4*q.ServiceRate-q.ArrivalRate)*tp)
 		if math.Abs(tail-(1-p)) > 1e-9 {
 			t.Errorf("p=%g: P(W > t_p) = %g, want %g", p, tail, 1-p)
 		}
@@ -115,14 +110,11 @@ func TestWaitPercentileConsistentWithTail(t *testing.T) {
 
 func TestUnstableQueues(t *testing.T) {
 	q := MMc{Servers: 2, ArrivalRate: 3, ServiceRate: 1}
-	if _, err := q.MeanWait(); !errors.Is(err, ErrUnstable) {
-		t.Error("unstable MeanWait should error")
+	if _, err := q.WaitProbability(); !errors.Is(err, ErrUnstable) {
+		t.Error("unstable WaitProbability should error")
 	}
 	if _, err := q.WaitPercentile(0.95); !errors.Is(err, ErrUnstable) {
 		t.Error("unstable WaitPercentile should error")
-	}
-	if _, err := SojournPercentileMM1(2, 1, 0.95); !errors.Is(err, ErrUnstable) {
-		t.Error("unstable MM1 percentile should error")
 	}
 }
 
@@ -138,29 +130,29 @@ func TestMGcReducesToMMcForExponential(t *testing.T) {
 	// the M/M/c result.
 	mgc := MGc{Servers: 4, ArrivalRate: 3, MeanServiceMs: 1, ServiceCV2: 1}
 	mmc := MMc{Servers: 4, ArrivalRate: 3, ServiceRate: 1}
-	wg, err := mgc.MeanWait()
+	wg, err := mgc.WaitPercentile(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, err := mmc.MeanWait()
+	wm, err := mmc.WaitPercentile(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(wg-wm) > 1e-12 {
-		t.Errorf("MGc(CV2=1) wait %g != MMc wait %g", wg, wm)
+		t.Errorf("MGc(CV2=1) p95 wait %g != MMc p95 wait %g", wg, wm)
 	}
 }
 
 func TestMGcVarianceScaling(t *testing.T) {
-	// Doubling (1+CV^2) doubles the mean wait; deterministic service
-	// (CV2=0) waits half as long as exponential.
+	// Doubling (1+CV^2) doubles the wait percentiles; deterministic
+	// service (CV2=0) waits half as long as exponential.
 	det := MGc{Servers: 2, ArrivalRate: 1.5, MeanServiceMs: 1, ServiceCV2: 0}
 	exp := MGc{Servers: 2, ArrivalRate: 1.5, MeanServiceMs: 1, ServiceCV2: 1}
-	wd, err := det.MeanWait()
+	wd, err := det.WaitPercentile(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	we, err := exp.MeanWait()
+	we, err := exp.WaitPercentile(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +163,6 @@ func TestMGcVarianceScaling(t *testing.T) {
 
 func TestMGcUnstable(t *testing.T) {
 	q := MGc{Servers: 1, ArrivalRate: 2, MeanServiceMs: 1, ServiceCV2: 1}
-	if _, err := q.MeanWait(); !errors.Is(err, ErrUnstable) {
-		t.Error("unstable MGc accepted")
-	}
 	if _, err := q.WaitPercentile(0.95); !errors.Is(err, ErrUnstable) {
 		t.Error("unstable MGc percentile accepted")
 	}

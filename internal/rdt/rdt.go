@@ -9,7 +9,6 @@ package rdt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ahq/internal/machine"
@@ -115,46 +114,6 @@ func BuildPlan(spec machine.Spec, a machine.Allocation) (*Plan, error) {
 	return plan, nil
 }
 
-// AppMask returns the union way mask an application's tasks may touch: its
-// isolated class's mask OR-ed with its shared class's mask.
-func (p *Plan) AppMask(app string) uint64 {
-	var mask uint64
-	for _, cl := range p.Classes {
-		for _, a := range cl.Apps {
-			if a == app {
-				mask |= cl.WayMask
-			}
-		}
-	}
-	return mask
-}
-
-// AppCores returns the sorted union of core IDs an application may run on.
-func (p *Plan) AppCores(app string) []int {
-	seen := map[int]bool{}
-	for _, cl := range p.Classes {
-		member := false
-		for _, a := range cl.Apps {
-			if a == app {
-				member = true
-				break
-			}
-		}
-		if !member {
-			continue
-		}
-		for _, c := range cl.Cores {
-			seen[c] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // String renders the plan like a resctrl schemata dump.
 func (p *Plan) String() string {
 	var b strings.Builder
@@ -168,6 +127,8 @@ func (p *Plan) String() string {
 
 // ContiguousMask reports whether a way mask satisfies CAT's contiguity
 // requirement.
+//
+//ahqlint:allow unused the predicate TestPlanMasksAlwaysContiguousAndDisjoint checks every plan against
 func ContiguousMask(mask uint64) bool {
 	if mask == 0 {
 		return true

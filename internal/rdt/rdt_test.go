@@ -49,28 +49,6 @@ func TestBuildPlanLayout(t *testing.T) {
 	}
 }
 
-func TestPlanAppViews(t *testing.T) {
-	plan, err := BuildPlan(machine.DefaultSpec(), arqStyleAlloc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Xapian touches its isolated ways plus the shared ways (CLOS mask
-	// union, the ARQ semantics).
-	if got := plan.AppMask("xapian"); got != 0x1f|0xfffe0 {
-		t.Errorf("xapian mask = %#x", got)
-	}
-	if got := plan.AppMask("stream"); got != 0xfffe0 {
-		t.Errorf("stream mask = %#x", got)
-	}
-	cores := plan.AppCores("xapian")
-	if len(cores) != 10 {
-		t.Errorf("xapian cores = %v, want all ten", cores)
-	}
-	if got := plan.AppCores("stream"); len(got) != 8 || got[0] != 2 {
-		t.Errorf("stream cores = %v, want 2-9", got)
-	}
-}
-
 func TestPlanMasksAlwaysContiguousAndDisjoint(t *testing.T) {
 	spec := machine.DefaultSpec()
 	f := func(c1, w1, c2 uint8) bool {
@@ -179,7 +157,7 @@ func TestSimHostApplies(t *testing.T) {
 	if err := host.Apply(good); err != nil {
 		t.Fatalf("valid allocation rejected: %v", err)
 	}
-	if !host.Engine().Allocation().Equal(good) {
+	if !engine.Allocation().Equal(good) {
 		t.Error("allocation not installed")
 	}
 	bad := good.Clone()

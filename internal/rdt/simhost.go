@@ -28,7 +28,4 @@ func (h *SimHost) Apply(a machine.Allocation) error {
 	return h.engine.SetAllocation(a)
 }
 
-// Engine exposes the wrapped simulator.
-func (h *SimHost) Engine() *sim.Engine { return h.engine }
-
 var _ Host = (*SimHost)(nil)

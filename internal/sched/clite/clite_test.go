@@ -22,13 +22,13 @@ func specs() []sched.AppSpec {
 func appNames() []string { return []string{"xapian", "moses", "stream"} }
 
 func newTest() *Strategy {
-	s := Default()
+	s := New(DefaultConfig())
 	s.Init(machine.DefaultSpec(), specs())
 	return s
 }
 
 func TestInitIsValidPartition(t *testing.T) {
-	s := Default()
+	s := New(DefaultConfig())
 	alloc := s.Init(machine.DefaultSpec(), specs())
 	if err := alloc.Validate(machine.DefaultSpec(), appNames()); err != nil {
 		t.Fatal(err)
@@ -108,8 +108,9 @@ func TestUnpointProducesValidConfigs(t *testing.T) {
 func TestPerturbKeepsInvariants(t *testing.T) {
 	s := newTest()
 	base := s.randomConfig()
+	p := make([]int, len(base))
 	for i := 0; i < 200; i++ {
-		p := s.perturb(base)
+		s.perturbInto(p, base)
 		alloc := s.decodeAlloc(p)
 		if err := alloc.Validate(machine.DefaultSpec(), appNames()); err != nil {
 			t.Fatalf("perturbed config invalid: %v", err)
@@ -145,7 +146,7 @@ func TestObjectiveOrdering(t *testing.T) {
 }
 
 func TestDecideAlwaysReturnsValidAllocations(t *testing.T) {
-	s := Default()
+	s := New(DefaultConfig())
 	cur := s.Init(machine.DefaultSpec(), specs())
 	for epoch := 0; epoch < 60; epoch++ {
 		// Feed plausible telemetry: violate when xapian's partition is
@@ -173,7 +174,7 @@ func TestDecideAlwaysReturnsValidAllocations(t *testing.T) {
 }
 
 func TestConvergesToExploitation(t *testing.T) {
-	s := Default()
+	s := New(DefaultConfig())
 	cur := s.Init(machine.DefaultSpec(), specs())
 	// Constant feasible telemetry: after the budget the strategy should
 	// stop moving.
@@ -282,7 +283,7 @@ func TestSolverFailureDegradesToHold(t *testing.T) {
 // applications cannot be strictly partitioned; Init must mark the run
 // infeasible (not panic) and Decide must hold.
 func TestInfeasibleSpecHoldsPartition(t *testing.T) {
-	s := Default()
+	s := New(DefaultConfig())
 	spec := machine.Spec{Cores: 2, LLCWays: 2, MemBWUnits: 2, MemBWGBps: 10}
 	alloc := s.Init(spec, specs())
 	if !s.infeasible {

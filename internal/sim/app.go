@@ -49,29 +49,6 @@ func (c AppConfig) Class() workload.Class {
 	return workload.BE
 }
 
-// arrivalKind classifies an application's arrival process for the
-// event-driven clock (engine.go: nextEventTick): what, if anything, the
-// process could deposit into a future tick, and whether proving a tick
-// arrival-free requires consuming randomness.
-type arrivalKind uint8
-
-const (
-	// arrivalsNone never deposits requests: BE applications, and LC
-	// applications over a provably always-zero load profile.
-	arrivalsNone arrivalKind = iota
-	// arrivalsEveryTick draws from the arrival stream every tick (open
-	// loop under a load that is, or may be, positive at any instant), so
-	// no tick can be elided without changing the random stream.
-	arrivalsEveryTick
-	// arrivalsSparse is open loop over a trace.SparseLoad profile: the
-	// profile can prove stretches of zero load during which no draw
-	// happens.
-	arrivalsSparse
-	// arrivalsClosedLoop issues requests at the users' known next-issue
-	// times and consumes randomness only when one fires.
-	arrivalsClosedLoop
-)
-
 // request is one in-flight LC request.
 type request struct {
 	arrivalMs float64
@@ -86,8 +63,6 @@ type appState struct {
 	name  string
 	class workload.Class
 	rng   *stream
-	// arrivals is the arrival-process classification, fixed at construction.
-	arrivals arrivalKind
 
 	// LC state. The waiting requests are queue[qHead:]: dispatch consumes
 	// from the front by advancing qHead instead of compacting the slice, so
@@ -140,7 +115,6 @@ type appState struct {
 	// Warm-up tracking after repartitioning.
 	lastWays       float64
 	warmupUntilMs  float64
-	warmupStartMs  float64
 	haveAllocation bool
 
 	// refMiss and cacheDenom are tick-invariant slowdown inputs — the miss
@@ -209,36 +183,7 @@ func newAppState(cfg AppConfig, seed int64) *appState {
 	if cfg.LC != nil {
 		a.svcMu = cfg.LC.ServiceMu()
 	}
-	a.arrivals = classifyArrivals(cfg)
 	return a
-}
-
-// classifyArrivals derives an application's arrivalKind from its
-// configuration. A positive constant load draws every tick, so it pins the
-// whole engine to naive ticking; a zero constant never offers load at all.
-// Unknown Load implementations that cannot prove zero stretches are treated
-// as possibly positive at every instant.
-func classifyArrivals(cfg AppConfig) arrivalKind {
-	if cfg.LC == nil {
-		return arrivalsNone
-	}
-	if cfg.ClosedLoopUsers > 0 {
-		return arrivalsClosedLoop
-	}
-	switch ld := cfg.Load.(type) {
-	case nil:
-		return arrivalsNone
-	case trace.Constant:
-		if ld <= 0 {
-			return arrivalsNone
-		}
-		return arrivalsEveryTick
-	default:
-		if _, ok := cfg.Load.(trace.SparseLoad); ok {
-			return arrivalsSparse
-		}
-		return arrivalsEveryTick
-	}
 }
 
 // threads returns the application's worker/compute thread count.

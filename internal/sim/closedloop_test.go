@@ -77,7 +77,7 @@ func TestClosedLoopBoundsOutstanding(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		ws := e.RunWindow(500)
 		drops += ws[0].Dropped
-		if q := e.QueueLen("xapian"); q > maxQ {
+		if q := ws[0].QueueLen; q > maxQ {
 			maxQ = q
 		}
 	}

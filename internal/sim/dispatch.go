@@ -260,6 +260,8 @@ func (a *appState) complete(req *request, done float64) {
 // dispatchLinear is the pre-heap dispatcher, kept verbatim as the reference
 // for the differential test: for each request, rescan every slot for the
 // earliest one with a usable rate.
+//
+//ahqlint:allow unused the reference TestHeapDispatchMatchesLinear compares the heap and small dispatchers against
 func (a *appState) dispatchLinear(nowMs, tickEnd float64) {
 	nSlots := a.threads()
 	clocks := make([]float64, nSlots)

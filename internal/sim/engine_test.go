@@ -201,34 +201,36 @@ func TestDropsUnderOverload(t *testing.T) {
 	// Past the client queue cap, the finite connection pool drops
 	// arrivals instead of queueing forever.
 	e := soloEngine(t, "xapian", 1.30, 1, 9)
-	drops := 0
+	drops, q := 0, 0
 	for i := 0; i < 20; i++ {
 		for _, w := range e.RunWindow(500) {
 			drops += w.Dropped
+			q = w.QueueLen
 		}
 	}
 	if drops == 0 {
 		t.Error("sustained overload produced no drops")
 	}
-	if q := e.QueueLen("xapian"); q > workload.MustLC("xapian").ClientQueueCap {
+	if q > workload.MustLC("xapian").ClientQueueCap {
 		t.Errorf("queue %d exceeds client cap", q)
 	}
 }
 
 func TestWindowAccounting(t *testing.T) {
 	e := soloEngine(t, "moses", 0.40, 10, 2)
-	total := 0
+	total, queued := 0, 0
 	var offered float64
 	for i := 0; i < 40; i++ {
 		ws := e.RunWindow(500)
 		total += ws[0].Completed + ws[0].Dropped
 		offered += ws[0].OfferedQPS * 0.5
+		queued = ws[0].QueueLen
 	}
 	// Everything offered is eventually completed or dropped (modulo the
 	// residual queue).
-	if math.Abs(float64(total)+float64(e.QueueLen("moses"))-offered) > offered*0.02+5 {
+	if math.Abs(float64(total)+float64(queued)-offered) > offered*0.02+5 {
 		t.Errorf("conservation: completed+dropped+queued = %d+%d, offered ~ %.0f",
-			total, e.QueueLen("moses"), offered)
+			total, queued, offered)
 	}
 	// Offered rate tracks the trace: 40% of max load.
 	want := 0.4 * workload.MustLC("moses").MaxLoadQPS * 20 // 20 s worth

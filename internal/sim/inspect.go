@@ -33,7 +33,7 @@ type AppContention struct {
 }
 
 // SolveStats reports the engine's contention-solve counters: ticks served
-// without running the resolvers (memo hits and fast-forwarded ticks) and
+// without running the resolvers (memo hits) and
 // resolver runs (full fixed-point solves, warm-up and memo-disabled ticks
 // included). Every simulated tick counts exactly once, so hits + solves is
 // the tick count. The counters are instrumentation for tests and

@@ -101,14 +101,13 @@ type resolveMemo struct {
 	// and under the current allocation. When the next tick presents the
 	// same vector the fields are already exactly right — the steady-state
 	// common case — and resolveContention returns without touching the
-	// table at all. lastOK doubles as the event-driven clock's licence to
-	// elide resolves entirely (engine.go: nextEventTick).
+	// table at all.
 	lastVec []uint16
 	lastOK  bool
 	// hits counts ticks served without running the resolvers (the same
-	// fast path, table hits and fast-forwarded ticks); solves counts
-	// resolver runs, warm-up and memo-disabled ones included. Every tick
-	// is exactly one of the two. Instrumentation for tests and benchmarks.
+	// fast path and table hits); solves counts resolver runs, warm-up and
+	// memo-disabled ones included. Every tick is exactly one of the two.
+	// Instrumentation for tests and benchmarks.
 	hits, solves uint64
 	// disabled forces every tick through the fresh solve; the differential
 	// tests use it to compare memoized and unmemoized engines.

@@ -312,7 +312,7 @@ func TestWideSolveMatchesReferenceResolvers(t *testing.T) {
 }
 
 // TestSolveStatsCountEveryTick pins SolveStats' accounting: every tick is
-// either served without the resolvers (memo hit, fast-forward) or is one
+// either served without the resolvers (a memo hit) or is one
 // resolver run, including warm-up ticks and every tick of a memo-disabled
 // engine, so hits + solves equals the tick count.
 func TestSolveStatsCountEveryTick(t *testing.T) {
@@ -340,27 +340,5 @@ func TestSolveStatsCountEveryTick(t *testing.T) {
 	}
 	if _, solves := off.SolveStats(); solves != uint64(off.tickCount) {
 		t.Errorf("memo-disabled engine: %d solves, want one per tick (%d)", solves, off.tickCount)
-	}
-
-	// Sparse open-loop load with long idle stretches fast-forwards.
-	x := workload.MustLC("xapian")
-	s := workload.MustBE("stream")
-	sparse, err := New(Config{
-		Spec: machine.DefaultSpec(),
-		Seed: 3,
-		Apps: []AppConfig{
-			{LC: &x, Load: trace.Steps{{StartMs: 0, Frac: 0}, {StartMs: 300, Frac: 0.2}, {StartMs: 350, Frac: 0}}},
-			{BE: &s},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 4; w++ {
-		sparse.RunWindow(500)
-		check("sparse", sparse)
-	}
-	if sparse.skippedTicks == 0 {
-		t.Error("the sparse engine never fast-forwarded; the test exercised nothing")
 	}
 }

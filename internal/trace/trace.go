@@ -16,42 +16,11 @@ type Load interface {
 	At(tMs float64) float64
 }
 
-// SparseLoad is implemented by Load profiles that can prove stretches of
-// zero offered load. NextPositiveMs returns a time z >= tMs such that
-// At(s) == 0 for every s in [tMs, z) — the earliest instant at which the
-// load could be nonzero again — or +Inf if the load stays zero forever.
-// Returning tMs itself (load may be positive right now) is always a valid,
-// if useless, answer. The simulator's event-driven clock uses this to jump
-// over provably arrival-free ticks; profiles that cannot prove anything
-// simply do not implement it.
-type SparseLoad interface {
-	NextPositiveMs(tMs float64) float64
-}
-
-// NextPositive reports when ld could next offer load at or after tMs: the
-// profile's own proof when it implements SparseLoad, else tMs (no proof, so
-// the load must be treated as possibly positive immediately).
-func NextPositive(ld Load, tMs float64) float64 {
-	if s, ok := ld.(SparseLoad); ok {
-		return s.NextPositiveMs(tMs)
-	}
-	return tMs
-}
-
 // Constant is a fixed load fraction.
 type Constant float64
 
 // At implements Load.
 func (c Constant) At(float64) float64 { return float64(c) }
-
-// NextPositiveMs implements SparseLoad: a zero constant never offers load,
-// any other constant offers it immediately.
-func (c Constant) NextPositiveMs(tMs float64) float64 {
-	if c <= 0 {
-		return math.Inf(1)
-	}
-	return tMs
-}
 
 // Step is one segment of a piecewise-constant profile.
 type Step struct {
@@ -91,22 +60,6 @@ func (s Steps) At(tMs float64) float64 {
 		}
 	}
 	return frac
-}
-
-// NextPositiveMs implements SparseLoad over the sorted segments: if the
-// segment governing tMs is positive the load is positive now; otherwise the
-// answer is the start of the next positive segment (+Inf when none
-// follows).
-func (s Steps) NextPositiveMs(tMs float64) float64 {
-	if s.At(tMs) > 0 {
-		return tMs
-	}
-	for _, st := range s {
-		if st.StartMs > tMs && st.Frac > 0 {
-			return st.StartMs
-		}
-	}
-	return math.Inf(1)
 }
 
 // Fig13Xapian returns the 250-second Xapian load fluctuation of the paper's

@@ -13,9 +13,3 @@ import "time"
 func MsToDuration(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
-
-// DurationToMs converts a wall-clock duration to simulation
-// milliseconds.
-func DurationToMs(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
-}

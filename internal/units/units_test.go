@@ -22,11 +22,3 @@ func TestMsToDuration(t *testing.T) {
 		}
 	}
 }
-
-func TestDurationToMsRoundTrip(t *testing.T) {
-	for _, ms := range []float64{0, 1, 2.5, 500, 10000} {
-		if got := DurationToMs(MsToDuration(ms)); got != ms {
-			t.Errorf("round trip %v ms = %v ms", ms, got)
-		}
-	}
-}

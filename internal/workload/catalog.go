@@ -161,14 +161,3 @@ func MustBE(name string) BEApp {
 	}
 	return app
 }
-
-// LCNames returns the catalog's LC application names in the order the paper
-// introduces them.
-func LCNames() []string {
-	return []string{"xapian", "moses", "img-dnn", "masstree", "sphinx", "silo"}
-}
-
-// BENames returns the catalog's BE application names.
-func BENames() []string {
-	return []string{"fluidanimate", "stream", "streamcluster"}
-}

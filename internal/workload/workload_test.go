@@ -88,7 +88,7 @@ func TestCatalogLCApps(t *testing.T) {
 		"xapian": 4.22, "moses": 10.53, "img-dnn": 3.98,
 		"masstree": 1.05, "sphinx": 2682, "silo": 1.27,
 	}
-	for _, name := range LCNames() {
+	for name := range lcCatalog {
 		app, err := LCByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -108,7 +108,7 @@ func TestCatalogLCApps(t *testing.T) {
 }
 
 func TestCatalogBEApps(t *testing.T) {
-	for _, name := range BENames() {
+	for name := range beCatalog {
 		app, err := BEByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -167,7 +167,7 @@ func TestLCValidateCatchesEverything(t *testing.T) {
 
 func TestServiceMuConsistency(t *testing.T) {
 	// exp(mu + sigma^2/2) must equal the configured mean.
-	for _, name := range LCNames() {
+	for name := range lcCatalog {
 		app := MustLC(name)
 		mean := math.Exp(app.ServiceMu() + app.ServiceSigma*app.ServiceSigma/2)
 		if math.Abs(mean-app.ServiceMeanMs)/app.ServiceMeanMs > 1e-9 {

@@ -118,26 +118,3 @@ func (m *TermMix) rank(u float64) int {
 	}
 	return lo
 }
-
-// MeanFactor returns the probability-weighted mean multiplier; 1 by
-// construction (exposed for tests).
-func (m *TermMix) MeanFactor() float64 {
-	mean := 0.0
-	prev := 0.0
-	for r, c := range m.cdf {
-		mean += (c - prev) * m.factors[r]
-		prev = c
-	}
-	return mean
-}
-
-// Factor returns the multiplier of a given rank (0 = most popular).
-func (m *TermMix) Factor(rank int) float64 {
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(m.factors) {
-		rank = len(m.factors) - 1
-	}
-	return m.factors[rank]
-}

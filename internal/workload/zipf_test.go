@@ -29,7 +29,12 @@ func TestTermMixMeanIsOne(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(m.MeanFactor()-1) < 1e-9
+		mean, prev := 0.0, 0.0
+		for r, c := range m.cdf {
+			mean += (c - prev) * m.factors[r]
+			prev = c
+		}
+		return math.Abs(mean-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -42,19 +47,14 @@ func TestTermMixFactorsMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := 0.0
-	for r := 0; r < 1000; r++ {
-		f := m.Factor(r)
+	for r, f := range m.factors {
 		if f < prev {
 			t.Fatalf("factor not monotone at rank %d: %g < %g", r, f, prev)
 		}
 		prev = f
 	}
-	// Rank clamping.
-	if m.Factor(-5) != m.Factor(0) || m.Factor(9999) != m.Factor(999) {
-		t.Error("rank clamping broken")
-	}
 	// Cold/hot ratio matches the configured factor.
-	if ratio := m.Factor(999) / m.Factor(0); math.Abs(ratio-3) > 1e-9 {
+	if ratio := m.factors[999] / m.factors[0]; math.Abs(ratio-3) > 1e-9 {
 		t.Errorf("cold/hot ratio = %g, want 3", ratio)
 	}
 }
@@ -71,7 +71,7 @@ func TestTermMixSampleStatistics(t *testing.T) {
 	for i := 0; i < n; i++ {
 		f := m.Sample(rng.Float64())
 		sum += f
-		if f == m.Factor(0) {
+		if f == m.factors[0] {
 			hot++
 		}
 	}
