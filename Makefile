@@ -15,7 +15,8 @@
 #   md5-quick  - check `ahqbench -all -quick` stdout against results/quick.md5
 #   md5-full   - check full-horizon `ahqbench -all` stdout against
 #                results/full.md5 (~50 s on a 2-CPU box)
-#   fuzz       - fuzz the percentile estimators and the fault-plan DSLs
+#   fuzz       - fuzz the percentile estimators, the fault-plan DSLs, the
+#                ahqd load mix and the trace CSV reader
 #   loc        - print the module's non-test Go line count (perfbench/
 #                and lint fixtures excluded)
 #   clean      - remove generated results
@@ -78,6 +79,8 @@ fuzz:
 	$(GO) test -fuzz FuzzOrderStat -fuzztime 20s ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMix$$' -fuzztime 20s ./cmd/ahqd/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 20s ./internal/trace/
 
 # Non-test Go lines, a tracked size metric (ROADMAP.md north star).
 loc:

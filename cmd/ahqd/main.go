@@ -9,7 +9,9 @@
 //
 // Endpoints:
 //
-//	GET /v1/status      controller status: epoch, entropies, mean E_S
+//	GET /v1/status      controller status: epoch, entropies, mean E_S,
+//	                    incidents and degraded epochs (and injected faults
+//	                    under a chaos plan)
 //	GET /v1/telemetry   last epoch's per-application windows
 //	GET /v1/allocation  current allocation and its RDT (CAT/MBA) plan
 //	GET /v1/entropy     last epoch's entropy report
@@ -147,34 +149,30 @@ type epochSummary struct {
 }
 
 type daemon struct {
-	mu       sync.Mutex
-	engine   *sim.Engine
-	node     core.Engine
-	host     rdt.Host
-	fhost    *faults.Host
+	mu     sync.Mutex
+	engine *sim.Engine
+	ctl    *core.Controller
+	// strategy is the strategy the controller runs (fault-wrapped under a
+	// chaos plan); the controller reaches it through daemonStrategy.
 	strategy sched.Strategy
-	sys      entropy.System
+	ri       float64
 	epochMs  float64
 	loads    map[string]*mutableLoad
+	injector *faults.Injector
 
+	// epoch counts daemon epochs, down ones included; last is the latest
+	// controller epoch's record, and the counters run over all of them.
 	epoch     int
-	lastTel   sched.Telemetry
-	lastELC   float64
-	lastEBE   float64
-	lastES    float64
-	lastNowMs float64
+	last      core.EpochRecord
 	sumES     float64
 	measured  int
 	incidents int
-	degraded  int
 	history   []epochSummary
-	// runMark is the engine run mark of the current epoch (stepEpoch).
-	runMark int
 
 	// Fleet-plan state: the daemon is a one-node fleet, so crash events
-	// freeze the node (down counts, no strategy turn) and blackout events
-	// drop its telemetry. Degrades are logged and ignored — the engine's
-	// capacity is fixed at construction.
+	// freeze the node (down counts, no controller epoch) and blackout
+	// events drop its telemetry. Degrades are logged and ignored — the
+	// engine's capacity is fixed at construction.
 	fleetPlan  *faults.FleetPlan
 	appCount   int
 	wasDown    bool
@@ -183,10 +181,29 @@ type daemon struct {
 	evictions  int
 }
 
+// daemonStrategy is the controller's view of the daemon's strategy field,
+// which it reads when each call runs (Step runs under the daemon's lock).
+type daemonStrategy struct{ d *daemon }
+
+func (s daemonStrategy) Name() string { return s.d.strategy.Name() }
+
+func (s daemonStrategy) Init(spec machine.Spec, apps []sched.AppSpec) machine.Allocation {
+	return s.d.strategy.Init(spec, apps)
+}
+
+func (s daemonStrategy) Decide(t sched.Telemetry, cur machine.Allocation) machine.Allocation {
+	return s.d.strategy.Decide(t, cur)
+}
+
 // newDaemon builds the controller stack; a non-empty fault plan wraps the
-// node, the host and the strategy with the injector so the daemon's
-// degradation paths can be exercised end to end.
+// node and the strategy with the injector so the daemon's degradation
+// paths can be exercised end to end.
 func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *faults.Plan, fleet *faults.FleetPlan) (*daemon, error) {
+	// core.Options reads RI 0 as the paper's default, so the daemon takes
+	// only a weight it can pass on unchanged.
+	if !(ri > 0 && ri <= 1) {
+		return nil, fmt.Errorf("relative importance %g outside (0,1]", ri)
+	}
 	apps, loads, err := parseMix(mix)
 	if err != nil {
 		return nil, err
@@ -201,10 +218,8 @@ func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *fau
 	}
 	d := &daemon{
 		engine:    engine,
-		node:      engine,
-		host:      rdt.NewSimHost(engine),
 		strategy:  strategy,
-		sys:       entropy.System{RI: ri},
+		ri:        ri,
 		epochMs:   epochMs,
 		loads:     loads,
 		fleetPlan: fleet,
@@ -217,20 +232,16 @@ func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *fau
 			}
 		}
 	}
+	var node core.Engine = engine
 	if !plan.Empty() {
-		inj := faults.NewInjector(plan)
-		d.node = inj.Engine(engine)
-		d.fhost = inj.Host(rdt.NewSimHost(engine))
-		// The initial apply below predates epoch 0; plans only schedule
-		// faults from epoch 0 on, so the daemon always comes up healthy.
-		d.fhost.SetEpoch(-1)
-		d.host = d.fhost
-		d.strategy = inj.Strategy(strategy)
+		d.injector = faults.NewInjector(plan)
+		node = d.injector.Engine(engine)
+		d.strategy = d.injector.Strategy(strategy)
 	}
-	if err := d.host.Apply(d.strategy.Init(engine.Spec(), engine.AppSpecs())); err != nil {
+	if d.ctl, err = core.NewController(node, daemonStrategy{d}, core.Options{RI: ri}); err != nil {
 		return nil, err
 	}
-	d.runMark = d.node.MarkRun()
+	d.incidents = len(d.ctl.InitIncidents())
 	return d, nil
 }
 
@@ -293,9 +304,9 @@ func parseMix(s string) ([]sim.AppConfig, map[string]*mutableLoad, error) {
 			apps = append(apps, sim.AppConfig{LC: &app, Load: profile})
 			continue
 		}
-		frac, err := strconv.ParseFloat(fracStr, 64)
-		if err != nil || frac < 0 || frac > 1 {
-			return nil, nil, fmt.Errorf("LC app %q: bad load %q", name, fracStr)
+		frac, err := parseLoad(fracStr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("LC app %q: %w", name, err)
 		}
 		ld := &mutableLoad{frac: frac}
 		loads[name] = ld
@@ -318,6 +329,17 @@ func parseMix(s string) ([]sim.AppConfig, map[string]*mutableLoad, error) {
 	return apps, loads, nil
 }
 
+// parseLoad parses an offered-load fraction. The comparison is written so
+// that NaN, which ParseFloat accepts and which fails every comparison, is
+// rejected with the out-of-range values.
+func parseLoad(s string) (float64, error) {
+	frac, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(frac >= 0 && frac <= 1) {
+		return 0, fmt.Errorf("bad load %q: want a fraction in [0,1]", s)
+	}
+	return frac, nil
+}
+
 // loop advances one monitoring epoch at a time.
 func (d *daemon) loop(fast bool) {
 	interval := units.MsToDuration(d.epochMs)
@@ -333,7 +355,7 @@ func (d *daemon) stepEpoch() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// A fleet-plan crash freezes the node: no simulated time, no telemetry,
-	// no strategy turn — only the down accounting the fleet engine keeps.
+	// no controller epoch — only the down accounting the fleet engine keeps.
 	if d.fleetPlan.DownAt(0, d.epoch) {
 		if !d.wasDown {
 			log.Printf("ahqd: fleet plan crashed the node at epoch %d", d.epoch)
@@ -342,7 +364,6 @@ func (d *daemon) stepEpoch() {
 			d.evictions += d.appCount
 		}
 		d.downEpochs++
-		d.degraded++
 		d.record(epochSummary{ELC: -1, EBE: -1, ES: -1})
 		return
 	}
@@ -350,77 +371,24 @@ func (d *daemon) stepEpoch() {
 		log.Printf("ahqd: node restarted at epoch %d after %d down epochs", d.epoch, d.downEpochs)
 		d.wasDown = false
 	}
-	windows := d.node.RunWindow(d.epochMs)
-	nowMs := d.node.NowMs()
-	// The daemon reads only per-window telemetry, never the run-level
-	// aggregates, so restart its run mark every epoch: the engine keeps
-	// completions from the earliest live mark, and a mark that lived for
-	// the process would keep every request's latency.
-	d.node.ReleaseRun(d.runMark)
-	d.runMark = d.node.MarkRun()
+	node := d.ctl.Engine()
+	windows := node.RunWindow(d.epochMs)
 	if d.fleetPlan.At(faults.NodeBlackout, 0, d.epoch) {
 		// Whole-node telemetry blackout: the node keeps running but the
 		// controller sees nothing this epoch.
 		windows = nil
 	}
-	// The same vetting core.RunHorizons applies: a dropped, stale or
-	// corrupt observation is replaced by the previous one, and an entropy
-	// that cannot be computed by the previous entropies, so neither reaches
-	// the strategy.
-	in, epochOK := core.CheckWindows(d.epoch, windows, nowMs, d.lastNowMs)
-	d.lastNowMs = max(d.lastNowMs, nowMs)
-	tel := sched.Telemetry{TimeMs: nowMs, Epoch: d.epoch, Apps: windows}
-	if !epochOK {
-		tel.Apps, tel.TimeMs = d.lastTel.Apps, d.lastTel.TimeMs
-	} else {
-		lc, be := core.SamplesFromWindows(windows)
-		if elc, ebe, es, err := d.sys.Compute(lc, be); err == nil {
-			tel.ELC, tel.EBE, tel.ES = elc, ebe, es
-			d.lastELC, d.lastEBE, d.lastES = elc, ebe, es
-			d.sumES += es
-			d.measured++
-		} else {
-			in, epochOK = core.Incident{Epoch: d.epoch, Kind: core.IncidentEntropyHeld, Detail: err.Error()}, false
-		}
+	rec := d.ctl.Step(windows, node.NowMs())
+	for _, in := range rec.Incidents {
+		log.Printf("ahqd: epoch %d: %s: %s", d.epoch, in.Kind, in.Detail)
 	}
-	if !epochOK {
-		log.Printf("ahqd: %s at epoch %d, holding the previous observation: %s", in.Kind, d.epoch, in.Detail)
-		d.incidents++
-		tel.ELC, tel.EBE, tel.ES = d.lastELC, d.lastEBE, d.lastES
+	d.incidents += len(rec.Incidents)
+	if rec.TelemetryOK {
+		d.sumES += rec.ES
+		d.measured++
 	}
-	tel.TelemetryOK = epochOK
-	d.lastTel = tel
-	// The engine reuses the slice behind RunWindow's result on the next
-	// call; lastTel outlives this epoch (the HTTP handlers read it), so it
-	// needs its own copy.
-	d.lastTel.Apps = append([]sched.AppWindow(nil), tel.Apps...)
-	violations := 0
-	for _, w := range tel.Apps {
-		if w.Violates() {
-			violations++
-		}
-	}
-	if d.fhost != nil {
-		d.fhost.SetEpoch(d.epoch)
-	}
-	next, panicMsg := core.SafeDecide(d.strategy, tel, d.engine.Allocation())
-	if panicMsg != "" {
-		log.Printf("ahqd: strategy panicked at epoch %d, holding allocation: %s", d.epoch, panicMsg)
-		d.incidents++
-		epochOK = false
-		next = d.engine.Allocation()
-	}
-	if err := d.host.Apply(next); err != nil {
-		// The host rejects atomically, so the previous allocation is
-		// still in force; hold it and carry on.
-		log.Printf("ahqd: allocation rejected at epoch %d: %v", d.epoch, err)
-		d.incidents++
-		epochOK = false
-	}
-	if !epochOK {
-		d.degraded++
-	}
-	d.record(epochSummary{ELC: sanitize(tel.ELC), EBE: sanitize(tel.EBE), ES: sanitize(tel.ES), Violations: violations})
+	d.last = rec
+	d.record(epochSummary{ELC: sanitize(rec.ELC), EBE: sanitize(rec.EBE), ES: sanitize(rec.ES), Violations: rec.LCViolations})
 }
 
 // record stamps the epoch's summary with its number, time and allocation,
@@ -450,20 +418,25 @@ func (d *daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if d.measured > 0 {
 		mean = d.sumES / float64(d.measured)
 	}
-	writeJSON(w, map[string]interface{}{
+	status := map[string]interface{}{
 		"strategy":        d.strategy.Name(),
 		"epoch":           d.epoch,
 		"sim_ms":          d.engine.NowMs(),
-		"e_lc":            d.lastELC,
-		"e_be":            d.lastEBE,
-		"e_s":             d.lastES,
+		"e_lc":            sanitize(d.last.ELC),
+		"e_be":            sanitize(d.last.EBE),
+		"e_s":             sanitize(d.last.ES),
 		"mean_e_s":        mean,
 		"incidents":       d.incidents,
-		"degraded_epochs": d.degraded,
+		"degraded_epochs": d.ctl.DegradedEpochs() + d.downEpochs,
 		"failed_nodes":    boolToInt(d.failed),
 		"down_epochs":     d.downEpochs,
 		"evictions":       d.evictions,
-	})
+	}
+	if d.injector != nil {
+		// Under a chaos plan every injected fault is one incident.
+		status["injected_faults"] = d.injector.Stats().Total()
+	}
+	writeJSON(w, status)
 }
 
 func (d *daemon) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
@@ -481,7 +454,7 @@ func (d *daemon) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
 		SoloIPC   float64 `json:"solo_ipc,omitempty"`
 	}
 	var out []appJSON
-	for _, a := range d.lastTel.Apps {
+	for _, a := range d.last.Apps {
 		j := appJSON{Name: a.Spec.Name, Class: a.Spec.Class.String()}
 		if a.Spec.Class == workload.LC {
 			j.P95Ms, j.TargetMs = sanitize(a.P95Ms), a.Spec.QoSTargetMs
@@ -514,10 +487,10 @@ func (d *daemon) handleEntropy(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	writeJSON(w, map[string]interface{}{
-		"e_lc": sanitize(d.lastELC),
-		"e_be": sanitize(d.lastEBE),
-		"e_s":  sanitize(d.lastES),
-		"ri":   d.sys.RI,
+		"e_lc": sanitize(d.last.ELC),
+		"e_be": sanitize(d.last.EBE),
+		"e_s":  sanitize(d.last.ES),
+		"ri":   d.ri,
 	})
 }
 
@@ -559,22 +532,22 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# HELP ahq_entropy System entropy components (dimensionless, 0-1).\n")
 	fmt.Fprintf(w, "# TYPE ahq_entropy gauge\n")
-	fmt.Fprintf(w, "ahq_entropy{component=\"lc\"} %g\n", sanitize(d.lastELC))
-	fmt.Fprintf(w, "ahq_entropy{component=\"be\"} %g\n", sanitize(d.lastEBE))
-	fmt.Fprintf(w, "ahq_entropy{component=\"system\"} %g\n", sanitize(d.lastES))
+	fmt.Fprintf(w, "ahq_entropy{component=\"lc\"} %g\n", sanitize(d.last.ELC))
+	fmt.Fprintf(w, "ahq_entropy{component=\"be\"} %g\n", sanitize(d.last.EBE))
+	fmt.Fprintf(w, "ahq_entropy{component=\"system\"} %g\n", sanitize(d.last.ES))
 	fmt.Fprintf(w, "# HELP ahq_epoch Monitoring epochs completed.\n")
 	fmt.Fprintf(w, "# TYPE ahq_epoch counter\n")
 	fmt.Fprintf(w, "ahq_epoch %d\n", d.epoch)
 	fmt.Fprintf(w, "# HELP ahq_p95_ms Per-application p95 latency last epoch.\n")
 	fmt.Fprintf(w, "# TYPE ahq_p95_ms gauge\n")
-	for _, a := range d.lastTel.Apps {
+	for _, a := range d.last.Apps {
 		if a.Spec.Class == workload.LC {
 			fmt.Fprintf(w, "ahq_p95_ms{app=%q} %g\n", a.Spec.Name, sanitize(a.P95Ms))
 		}
 	}
 	fmt.Fprintf(w, "# HELP ahq_ipc Per-application IPC last epoch.\n")
 	fmt.Fprintf(w, "# TYPE ahq_ipc gauge\n")
-	for _, a := range d.lastTel.Apps {
+	for _, a := range d.last.Apps {
 		if a.Spec.Class == workload.BE {
 			fmt.Fprintf(w, "ahq_ipc{app=%q} %g\n", a.Spec.Name, sanitize(a.IPC))
 		}
@@ -594,8 +567,8 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	app := r.URL.Query().Get("app")
-	frac, err := strconv.ParseFloat(r.URL.Query().Get("frac"), 64)
-	if err != nil || frac < 0 || frac > 1 {
+	frac, err := parseLoad(r.URL.Query().Get("frac"))
+	if err != nil {
 		http.Error(w, "frac must be in [0,1]", http.StatusBadRequest)
 		return
 	}

@@ -5,14 +5,17 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ahq/internal/core"
 	"ahq/internal/faults"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
-	"ahq/internal/workload"
+	"ahq/internal/sim"
 )
 
 func TestParseMix(t *testing.T) {
@@ -37,8 +40,13 @@ func TestParseMix(t *testing.T) {
 func TestParseMixErrors(t *testing.T) {
 	for _, bad := range []string{
 		"",
-		"xapian",           // missing load
-		"xapian:2.0",       // load out of range
+		"xapian",      // missing load
+		"xapian:2.0",  // load out of range
+		"xapian:-0.1", // negative load
+		"xapian:NaN",  // ParseFloat accepts NaN
+		"xapian:nan+stream",
+		"xapian:Inf",
+		"xapian:-Inf",
 		"ghost:0.5",        // unknown LC
 		"xapian:0.5+ghost", // unknown BE
 	} {
@@ -246,8 +254,13 @@ func TestDaemonLoadEndpoint(t *testing.T) {
 	if rec := post("app=ghost&frac=0.5"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown app: %d", rec.Code)
 	}
-	if rec := post("app=xapian&frac=1.5"); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad frac: %d", rec.Code)
+	for _, frac := range []string{"1.5", "-0.1", "NaN", "nan", "Inf", "-Inf", "", "x"} {
+		if rec := post("app=xapian&frac=" + url.QueryEscape(frac)); rec.Code != http.StatusBadRequest {
+			t.Errorf("frac=%q: %d, want 400", frac, rec.Code)
+		}
+	}
+	if got := d.loads["xapian"].At(0); got != 0.9 {
+		t.Errorf("load = %g after rejected changes, want 0.9", got)
 	}
 	getRec := httptest.NewRecorder()
 	d.handleLoad(getRec, httptest.NewRequest(http.MethodGet, "/v1/load?app=xapian&frac=0.5", nil))
@@ -284,8 +297,8 @@ func TestDaemonSurvivesChaosPlan(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		d.stepEpoch()
 	}
-	if d.incidents == 0 || d.degraded == 0 {
-		t.Errorf("incidents = %d, degraded = %d; faults went unrecorded", d.incidents, d.degraded)
+	if d.incidents == 0 || d.ctl.DegradedEpochs() == 0 {
+		t.Errorf("incidents = %d, degraded = %d; faults went unrecorded", d.incidents, d.ctl.DegradedEpochs())
 	}
 	if err := d.engine.Allocation().Validate(d.engine.Spec(),
 		[]string{"xapian", "moses", "stream"}); err != nil {
@@ -416,31 +429,205 @@ func TestDaemonFleetPlanRejectsOtherNodes(t *testing.T) {
 	}
 }
 
-// TestDaemonKeepsNoRunLatencies is the regression test for the daemon's
-// unbounded growth: it reads only per-window telemetry, so the engine's
-// run-level latency accumulator must not outlive an epoch. With nothing
-// retained and an empty queue, RunP95 has no sample to report and is NaN;
-// a daemon that never resets would report the p95 of every request it
-// ever completed.
-func TestDaemonKeepsNoRunLatencies(t *testing.T) {
-	d, err := newDaemon("unmanaged", "xapian:0.2,moses:0.2+stream", 1, 500, 0.8, nil, nil)
+// FuzzParseMix checks that every mix parseMix accepts holds only loads in
+// [0,1]. Inputs naming a trace file ("@path") are skipped, so the fuzzer
+// never opens files.
+func FuzzParseMix(f *testing.F) {
+	for _, s := range []string{
+		"xapian:0.5,moses:0.2,img-dnn:0.2+stream",
+		"xapian:0.5,moses:0.2+stream,fluidanimate",
+		"+stream", "xapian:1", "xapian:0", "xapian:NaN", "xapian:1e-300",
+		"xapian:-0", "xapian:0x1p-2", "xapian:Inf+stream",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, mix string) {
+		if strings.Contains(mix, "@") {
+			t.Skip("trace replays open files")
+		}
+		apps, _, err := parseMix(mix)
+		if err != nil {
+			return
+		}
+		for _, a := range apps {
+			if a.LC == nil {
+				continue
+			}
+			if frac := a.Load.At(0); !(frac >= 0 && frac <= 1) {
+				t.Fatalf("parseMix(%q): %s load %g outside [0,1]", mix, a.LC.Name, frac)
+			}
+		}
+	})
+}
+
+// stepDaemon advances the daemon n epochs and returns each controller
+// epoch's record with the allocation in force after it.
+func stepDaemon(d *daemon, n int) []core.EpochRecord {
+	var recs []core.EpochRecord
+	for i := 0; i < n; i++ {
+		d.stepEpoch()
+		rec := d.last
+		rec.Allocation = d.engine.Allocation()
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// coreRun runs core.Run over the daemon's node for n epochs from the
+// start: the same mix, seed, strategy and RI, a fresh engine, and the
+// engine wrapped with the plan's injector when one is given.
+func coreRun(t *testing.T, strategy, mix string, seed int64, n int, plan *faults.Plan, wrap func(sched.Strategy) sched.Strategy) *core.Result {
+	t.Helper()
+	apps, _, err := parseMix(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
-	for i := 0; i < 20; i++ {
-		d.stepEpoch()
-		for _, w := range d.lastTel.Apps {
-			if w.Spec.Class != workload.LC || w.QueueLen != 0 {
-				continue // RunP95 would report the oldest waiting request's age
+	engine, err := sim.New(sim.Config{Spec: machine.DefaultSpec(), Seed: seed, Apps: apps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := makeStrategy(strategy, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var node core.Engine = engine
+	if !plan.Empty() {
+		inj := faults.NewInjector(plan)
+		node, strat = inj.Engine(engine), inj.Strategy(strat)
+	}
+	if wrap != nil {
+		strat = wrap(strat)
+	}
+	res, err := core.Run(node, strat, core.Options{EpochMs: 500, WarmupMs: -1,
+		DurationMs: float64(n) * 500, RI: 0.8, RecordTimeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Timeline) != n {
+		t.Fatalf("core.Run recorded %d epochs, want %d", len(res.Timeline), n)
+	}
+	return res
+}
+
+// TestDaemonMatchesCoreRun: the daemon runs the same Controller as
+// core.Run, so with the same seed, mix and strategy its records carry the
+// same E_S and allocation as core.Run's timeline, bit for bit.
+func TestDaemonMatchesCoreRun(t *testing.T) {
+	const mix, seed, n = "xapian:0.5,moses:0.2,img-dnn:0.2+stream", 3, 20
+	for _, strategy := range []string{"arq", "clite"} {
+		d, err := newDaemon(strategy, mix, seed, 500, 0.8, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := stepDaemon(d, n)
+		want := coreRun(t, strategy, mix, seed, n, nil, nil).Timeline
+		for i := range want {
+			if math.Float64bits(got[i].ES) != math.Float64bits(want[i].ES) {
+				t.Errorf("%s epoch %d: daemon E_S %v, core.Run %v", strategy, i, got[i].ES, want[i].ES)
 			}
-			checked++
-			if p := d.engine.RunP95(w.Spec.Name, d.runMark); !math.IsNaN(p) {
-				t.Fatalf("epoch %d: %s retains run-level latencies across epochs (RunP95 = %v)", i, w.Spec.Name, p)
+			if !reflect.DeepEqual(got[i].Allocation, want[i].Allocation) {
+				t.Errorf("%s epoch %d: daemon allocation %s, core.Run %s", strategy, i, got[i].Allocation, want[i].Allocation)
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no epoch ended with an empty queue; the check never ran")
+}
+
+// TestDaemonIncidentsReconcileWithInjector: every fault the injector
+// injects is one incident in /v1/status, and nothing else is.
+func TestDaemonIncidentsReconcileWithInjector(t *testing.T) {
+	plan, err := faults.Parse("panic@2,apply@3x2,drop@5,nan@7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon("arq", "xapian:0.3,moses:0.2+stream", 1, 500, 0.8, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepDaemon(d, 10)
+	rec := httptest.NewRecorder()
+	d.handleStatus(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+	var status map[string]interface{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
+		t.Fatal(err)
+	}
+	injected := d.injector.Stats().Total()
+	if injected < 3 {
+		t.Errorf("injected %d faults, want at least the panic, drop and NaN", injected)
+	}
+	if got := status["injected_faults"].(float64); int(got) != injected {
+		t.Errorf("status injected_faults = %v, injector injected %d", got, injected)
+	}
+	if got := status["incidents"].(float64); int(got) != injected {
+		t.Errorf("status incidents = %v, injector injected %d", got, injected)
+	}
+}
+
+// TestChaosFaultsCountControllerEpochs: a chaos plan counts controller
+// epochs, which a fleet-plan crash does not advance. With daemon epochs
+// 2-4 down, controller epoch 3 is daemon epoch 6, and the telemetry drop
+// and the strategy panic planned there both land on it.
+func TestChaosFaultsCountControllerEpochs(t *testing.T) {
+	plan, err := faults.Parse("drop@3,panic@3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := faults.ParseFleet("crash@2x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err = fp.Resolve(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon("arq", "xapian:0.3,moses:0.2+stream", 1, 500, 0.8, plan, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; epoch < 10; epoch++ {
+		before := d.incidents
+		d.stepEpoch()
+		want := 0
+		if epoch == 6 {
+			want = 2
+		}
+		if got := d.incidents - before; got != want {
+			t.Errorf("daemon epoch %d: %d incidents, want %d", epoch, got, want)
+		}
+	}
+	if st := d.injector.Stats(); st.TelemetryDrops != 1 || st.StrategyPanics != 1 {
+		t.Errorf("injected %+v, want one drop and one panic", st)
+	}
+}
+
+// TestPreHealthyESMatchesCore pins one policy for the epochs before any
+// healthy observation: with the first window dropped, core.Run and the
+// daemon both hand Decide a NaN E_S, and the same E_S afterwards.
+func TestPreHealthyESMatchesCore(t *testing.T) {
+	const mix, seed, n = "xapian:0.5,moses:0.2+stream", 1, 6
+	plan, err := faults.Parse("drop@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon("arq", mix, seed, 500, 0.8, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemonES := &recordingStrategy{Strategy: d.strategy}
+	d.strategy = daemonES
+	stepDaemon(d, n)
+	coreES := &recordingStrategy{}
+	coreRun(t, "arq", mix, seed, n, plan, func(s sched.Strategy) sched.Strategy {
+		coreES.Strategy = s
+		return coreES
+	})
+	if len(daemonES.es) != n || len(coreES.es) != n {
+		t.Fatalf("Decide ran %d times in the daemon and %d in core.Run, want %d", len(daemonES.es), len(coreES.es), n)
+	}
+	if !math.IsNaN(coreES.es[0]) {
+		t.Errorf("core.Run epoch 0: Decide received E_S %v, want NaN before any healthy epoch", coreES.es[0])
+	}
+	for i := range coreES.es {
+		if math.Float64bits(daemonES.es[i]) != math.Float64bits(coreES.es[i]) {
+			t.Errorf("epoch %d: daemon Decide received E_S %v, core.Run %v", i, daemonES.es[i], coreES.es[i])
+		}
 	}
 }

@@ -530,11 +530,11 @@ func condense(r *core.Result) classOut {
 }
 
 // deadUnitOut condenses a unit whose window could not run into a Failed record
-// with saturated dead-window samples, mirroring the clamps of
-// core.SamplesFromWindows (a dead LC application pins its latency at
-// 1000x its target, a dead BE application retains a sliver of its solo
-// IPC), so fleet aggregation accounts the dead windows explicitly instead
-// of silently shrinking the sample set. Every measured epoch of a dead LC
+// with saturated dead-window samples, mirroring the clamps core's
+// controller applies to starved epoch windows (a dead LC application pins
+// its latency at 1000x its target, a dead BE application retains a sliver
+// of its solo IPC), so fleet aggregation accounts the dead windows
+// explicitly instead of silently shrinking the sample set. Every measured epoch of a dead LC
 // application counts as a violation.
 func deadUnitOut(u simUnit) classOut {
 	o := u.opts.WithDefaults()
@@ -563,7 +563,7 @@ func deadUnitOut(u simUnit) classOut {
 
 // deadLCSample is the saturated entropy sample of an LC application whose
 // node is dead: latency clamped at 1000x its target (the starvation clamp
-// of core.SamplesFromWindows), so it maximally violates.
+// core's controller applies to epoch windows), so it maximally violates.
 func deadLCSample(a sim.AppConfig) entropy.LCSample {
 	return entropy.LCSample{
 		Name: a.LC.Name, IdealMs: a.LC.IdealP95Ms,
@@ -572,8 +572,9 @@ func deadLCSample(a sim.AppConfig) entropy.LCSample {
 }
 
 // deadBESample is the saturated entropy sample of a BE application whose
-// node is dead: a sliver of its solo IPC (the zero-IPC clamp of
-// core.SamplesFromWindows), so E_BE saturates instead of erroring.
+// node is dead: a sliver of its solo IPC (the zero-IPC clamp core's
+// controller applies to epoch windows), so E_BE saturates instead of
+// erroring.
 func deadBESample(a sim.AppConfig) entropy.BESample {
 	return entropy.BESample{
 		Name: a.BE.Name, SoloIPC: a.BE.SoloIPC, MeasuredIPC: a.BE.SoloIPC * 1e-3,

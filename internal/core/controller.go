@@ -68,14 +68,24 @@ type EpochRecord struct {
 	TimeMs       float64
 	Apps         []sched.AppWindow
 	ELC, EBE, ES float64
-	Allocation   machine.Allocation
-	Adjusted     bool
+	// Allocation is the allocation in force after the epoch; timelines
+	// fill it in (Controller.Step leaves it nil).
+	Allocation machine.Allocation
+	// Adjusted reports whether the strategy's change was applied.
+	Adjusted bool
+	// LCViolations, QueuedTotal and DroppedTotal count over fresh windows
+	// only (zero when the observation was held).
 	LCViolations int
 	QueuedTotal  int
 	DroppedTotal int
 	// TelemetryOK is false when this epoch's observation was dropped,
-	// stale, or corrupt and the previous one was held instead.
+	// stale, or corrupt and the previous one was held instead, or when its
+	// entropy could not be computed and the previous entropies were held.
 	TelemetryOK bool
+	// Fresh reports whether Apps are this epoch's vetted windows; false
+	// when the previous observation was held. Fresh with TelemetryOK false
+	// means only the entropies were held.
+	Fresh bool
 	// Degraded reports whether the controller operated degraded this epoch
 	// (any incident, or an apply suppressed by backoff).
 	Degraded bool
@@ -143,6 +153,187 @@ const (
 	maxBackoffEpochs = 8
 )
 
+// Controller is the Ah-Q epoch loop on one engine. Each Step vets the
+// epoch's windows, computes the entropy, lets the strategy decide and
+// applies the decision, degrading instead of dying: dropped, stale or
+// corrupt telemetry and an entropy that cannot be computed hold the last
+// healthy observation, a strategy panic holds the in-force allocation, and
+// a rejected allocation is retried, then replaced by the last-known-good
+// one, then backed off. The caller advances the engine itself and hands
+// Step what it delivered, so batch runs (RunHorizons) and the ahqd daemon
+// share this one loop. Its state is O(apps): nothing in it grows with
+// epochs.
+type Controller struct {
+	engine        Engine
+	strategy      sched.Strategy
+	sys           entropy.System
+	specs         []sched.AppSpec
+	initIncidents []Incident
+
+	epoch     int
+	lastNowMs float64
+	// The last healthy observation, held over fault epochs; before any
+	// healthy epoch the apps are empty and the entropies NaN.
+	heldApps                 []sched.AppWindow
+	heldELC, heldEBE, heldES float64
+	// The apply path: the last allocation the node accepted and the
+	// retry/backoff counters.
+	lastGood                               machine.Allocation
+	rejectStreak, backoffLen, backoffUntil int
+	degraded                               int
+}
+
+// NewController initialises the strategy on the engine and applies its
+// initial allocation; of the options only RI is read. A panicking Init
+// degrades to the allocation already in force (the engine starts
+// unmanaged, the safest state known to exist) and is recorded in
+// InitIncidents. An initial allocation the node rejects is impossible
+// input, a configuration error rather than a runtime fault, and the only
+// error.
+func NewController(engine Engine, strategy sched.Strategy, opts Options) (*Controller, error) {
+	c := new(Controller)
+	if err := c.init(engine, strategy, opts); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// init is NewController on a Controller the caller owns (RunHorizons keeps
+// its controller on the stack).
+func (c *Controller) init(engine Engine, strategy sched.Strategy, opts Options) error {
+	nan := math.NaN()
+	*c = Controller{
+		engine:   engine,
+		strategy: strategy,
+		sys:      entropy.System{RI: opts.withDefaults().RI},
+		specs:    engine.AppSpecs(),
+		heldELC:  nan, heldEBE: nan, heldES: nan,
+	}
+	alloc, panicMsg := safeInit(strategy, engine.Spec(), c.specs)
+	if panicMsg != "" {
+		c.initIncidents = []Incident{{Epoch: -1, Kind: IncidentStrategyPanic, Detail: panicMsg}}
+		alloc = engine.Allocation()
+	}
+	if err := engine.SetAllocation(alloc); err != nil {
+		return fmt.Errorf("core: %s initial allocation rejected: %w", strategy.Name(), err)
+	}
+	c.lastGood = engine.Allocation()
+	c.lastNowMs = engine.NowMs()
+	return nil
+}
+
+// Engine returns the engine the controller drives; the caller advances it
+// (RunWindow) before each Step.
+func (c *Controller) Engine() Engine { return c.engine }
+
+// InitIncidents returns the incident NewController recorded, if Init
+// panicked.
+func (c *Controller) InitIncidents() []Incident { return c.initIncidents }
+
+// DegradedEpochs counts the steps in which the controller operated
+// degraded: an incident occurred or a wanted adjustment was suppressed by
+// apply backoff.
+func (c *Controller) DegradedEpochs() int { return c.degraded }
+
+// Step runs one controller epoch on the windows the engine delivered
+// (nil when telemetry was lost) and the engine's timestamp for them, and
+// returns the epoch's record. The record's Allocation is left nil: the
+// engine holds the allocation in force. Epochs count Step calls from 0.
+func (c *Controller) Step(windows []sched.AppWindow, nowMs float64) EpochRecord {
+	epoch := c.epoch
+	c.epoch++
+	var incidents []Incident
+	in, fresh := checkWindows(epoch, windows, nowMs, c.lastNowMs)
+	if !fresh {
+		incidents = append(incidents, in)
+	}
+	if nowMs > c.lastNowMs {
+		c.lastNowMs = nowMs
+	}
+
+	tel := sched.Telemetry{Epoch: epoch, TelemetryOK: fresh}
+	if fresh {
+		tel.TimeMs = nowMs
+		tel.Apps = orderWindows(windows, c.specs)
+		lcS, beS := samplesFromWindows(tel.Apps)
+		elc, ebe, es, err := c.sys.Compute(lcS, beS)
+		if err == nil {
+			tel.ELC, tel.EBE, tel.ES = elc, ebe, es
+			c.heldELC, c.heldEBE, c.heldES = elc, ebe, es
+		} else {
+			// Plausible windows but no computable entropy: hold the
+			// previous value so strategies never see NaN mid-run.
+			tel.TelemetryOK = false
+			tel.ELC, tel.EBE, tel.ES = c.heldELC, c.heldEBE, c.heldES
+			incidents = append(incidents, Incident{Epoch: epoch,
+				Kind: IncidentEntropyHeld, Detail: err.Error()})
+		}
+		c.heldApps = tel.Apps
+	} else {
+		tel.TimeMs = c.lastNowMs
+		tel.Apps = c.heldApps
+		tel.ELC, tel.EBE, tel.ES = c.heldELC, c.heldEBE, c.heldES
+	}
+
+	rec := EpochRecord{
+		TimeMs: tel.TimeMs, Apps: tel.Apps,
+		ELC: tel.ELC, EBE: tel.EBE, ES: tel.ES,
+		TelemetryOK: tel.TelemetryOK, Fresh: fresh,
+	}
+	// Counts only for genuinely fresh windows; a held (replayed)
+	// observation must not be counted twice.
+	if fresh {
+		for _, w := range tel.Apps {
+			if w.Spec.Class == workload.LC {
+				rec.QueuedTotal += w.QueueLen
+				rec.DroppedTotal += w.Dropped
+				if w.Violates() {
+					rec.LCViolations++
+				}
+			}
+		}
+	}
+
+	cur := c.engine.Allocation()
+	next, panicMsg := safeDecide(c.strategy, tel, cur)
+	if panicMsg != "" {
+		incidents = append(incidents, Incident{Epoch: epoch,
+			Kind: IncidentStrategyPanic, Detail: panicMsg})
+		next = cur // hold the in-force allocation
+	}
+	suppressed := false
+	if !next.Equal(cur) {
+		if epoch < c.backoffUntil {
+			// The actuator was recently rejecting even the known-good
+			// allocation; do not hammer it.
+			suppressed = true
+		} else if err := c.engine.SetAllocation(next); err == nil {
+			c.rejectStreak, c.backoffLen = 0, 0
+			c.lastGood = c.engine.Allocation()
+			rec.Adjusted = true
+		} else {
+			c.rejectStreak++
+			incidents = append(incidents, Incident{Epoch: epoch,
+				Kind: IncidentAllocationRejected, Detail: err.Error()})
+			if c.rejectStreak >= maxApplyRetries {
+				c.rejectStreak = 0
+				if fbErr := c.engine.SetAllocation(c.lastGood); fbErr != nil {
+					incidents = append(incidents, Incident{Epoch: epoch,
+						Kind: IncidentFallbackRejected, Detail: fbErr.Error()})
+					c.backoffLen = min(max(2*c.backoffLen, 1), maxBackoffEpochs)
+					c.backoffUntil = epoch + 1 + c.backoffLen
+				}
+			}
+		}
+	}
+	rec.Degraded = suppressed || len(incidents) > 0
+	if rec.Degraded {
+		c.degraded++
+	}
+	rec.Incidents = incidents
+	return rec
+}
+
 // safeInit calls strategy.Init, converting a panic into a recorded message
 // so a misbehaving strategy cannot crash the run before it starts.
 func safeInit(s sched.Strategy, spec machine.Spec, apps []sched.AppSpec) (alloc machine.Allocation, panicMsg string) {
@@ -154,9 +345,9 @@ func safeInit(s sched.Strategy, spec machine.Spec, apps []sched.AppSpec) (alloc 
 	return s.Init(spec, apps), ""
 }
 
-// SafeDecide calls strategy.Decide, converting a panic into a recorded
+// safeDecide calls strategy.Decide, converting a panic into a recorded
 // message; the caller holds the current allocation in that case.
-func SafeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
+func safeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicMsg = fmt.Sprint(r)
@@ -165,7 +356,7 @@ func SafeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (ne
 	return s.Decide(t, cur), ""
 }
 
-// CheckWindows vets an epoch's windows before anything reads them. It
+// checkWindows vets an epoch's windows before anything reads them. It
 // returns the incident that disqualifies them and false: no windows
 // delivered (dropped), a timestamp nowMs that did not advance past
 // lastNowMs (a stale replay), or physically impossible metrics — LC
@@ -173,7 +364,7 @@ func SafeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (ne
 // come from a corrupted telemetry path and must not reach the entropy
 // computation or be mistaken for starvation. Fresh, plausible windows
 // return true.
-func CheckWindows(epoch int, windows []sched.AppWindow, nowMs, lastNowMs float64) (Incident, bool) {
+func checkWindows(epoch int, windows []sched.AppWindow, nowMs, lastNowMs float64) (Incident, bool) {
 	bad := func(kind IncidentKind, detail string) (Incident, bool) {
 		return Incident{Epoch: epoch, Kind: kind, Detail: detail}, false
 	}
@@ -201,14 +392,9 @@ func CheckWindows(epoch int, windows []sched.AppWindow, nowMs, lastNowMs float64
 // Run drives the engine under the strategy for warm-up plus the measured
 // horizon and aggregates the results: RunHorizons with a single horizon.
 //
-// Run degrades instead of dying: a strategy panic holds the in-force
-// allocation, a mid-run allocation rejection is retried and then replaced
-// by the last-known-good allocation, and dropped/stale/corrupt telemetry
-// holds the previous epoch's observation and entropy rather than feeding
-// NaN to strategies. Every such event is recorded in Result.Incidents. The
-// only remaining error return after a successful start is impossible input
-// (an initial allocation the node rejects), which is a configuration error
-// rather than a runtime fault.
+// Run degrades instead of dying, as the Controller does: every fault it
+// survives is recorded in Result.Incidents, and the only error after the
+// horizons are checked is an initial allocation the node rejects.
 func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) {
 	res, err := RunHorizons(engine, strategy, []Options{opts})
 	if err != nil {
@@ -285,6 +471,40 @@ func (a *accum) snapshot() accum {
 	return c
 }
 
+// add accumulates one measured epoch: its entropies when they were
+// computed from fresh windows, and its per-application windows only when
+// they are fresh, so a held observation is never counted twice.
+func (a *accum) add(rec *EpochRecord) {
+	if rec.TelemetryOK {
+		a.elcSum += rec.ELC
+		a.ebeSum += rec.EBE
+		a.esSum += rec.ES
+		a.measured++
+	}
+	if rec.Fresh {
+		for j, w := range rec.Apps {
+			p := &a.apps[j]
+			if w.Spec.Class != workload.LC {
+				p.ipc = append(p.ipc, w.IPC)
+				continue
+			}
+			if !math.IsNaN(w.P95Ms) {
+				p.p95 = append(p.p95, w.P95Ms)
+			}
+			p.compl += w.Completed
+			p.drops += w.Dropped
+			if w.Violates() {
+				p.viol++
+			}
+		}
+	}
+	a.epochs++
+	a.viol += rec.LCViolations
+	if rec.Adjusted {
+		a.adjustments++
+	}
+}
+
 // RunHorizons drives the engine under the strategy once, to the longest of
 // the horizons, and returns one result per horizon. The horizon only
 // decides where measurement starts (the warm-up end, a run mark on the
@@ -338,34 +558,17 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 		last = max(last, h.total)
 	}
 
-	specs := engine.AppSpecs()
+	var ctl Controller
+	if err := ctl.init(engine, strategy, base); err != nil {
+		return nil, err
+	}
+	specs := ctl.specs
 	name := strategy.Name()
-	var incidents []Incident
-	alloc, initPanic := safeInit(strategy, engine.Spec(), specs)
-	if initPanic != "" {
-		// Degrade to the allocation already in force (the engine starts
-		// unmanaged), the safest state we can guarantee exists.
-		incidents = append(incidents, Incident{Epoch: -1, Kind: IncidentStrategyPanic, Detail: initPanic})
-		alloc = engine.Allocation()
-	}
-	if err := engine.SetAllocation(alloc); err != nil {
-		return nil, fmt.Errorf("core: %s initial allocation rejected: %w", name, err)
-	}
-	sys := entropy.System{RI: base.RI}
+	incidents := slices.Clone(ctl.initIncidents)
 	for _, s := range starts {
 		s.acc.apps = make([]appAccum, len(specs))
 	}
 	var timeline []EpochRecord
-	degradedEpochs := 0
-
-	// Degradation state: the last allocation the node accepted, the last
-	// healthy telemetry (held over fault epochs), and the retry/backoff
-	// counters of the apply path.
-	lastGood := engine.Allocation()
-	heldELC, heldEBE, heldES := math.NaN(), math.NaN(), math.NaN()
-	var heldApps []sched.AppWindow
-	lastNowMs := engine.NowMs()
-	rejectStreak, backoffLen, backoffUntil := 0, 0, 0
 
 	for epoch := 0; epoch < last; epoch++ {
 		for _, s := range starts {
@@ -373,161 +576,21 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 				s.mark = engine.MarkRun()
 			}
 		}
-		epochIncidents := len(incidents)
 		windows := engine.RunWindow(base.EpochMs)
-		nowMs := engine.NowMs()
-
-		in, winOK := CheckWindows(epoch, windows, nowMs, lastNowMs)
-		if !winOK {
-			incidents = append(incidents, in)
-		}
-		if nowMs > lastNowMs {
-			lastNowMs = nowMs
-		}
-
-		tel := sched.Telemetry{Epoch: epoch, TelemetryOK: winOK}
-		if winOK {
-			tel.TimeMs = nowMs
-			tel.Apps = orderWindows(windows, specs)
-			lcS, beS := SamplesFromWindows(tel.Apps)
-			elc, ebe, es, err := sys.Compute(lcS, beS)
-			if err == nil {
-				tel.ELC, tel.EBE, tel.ES = elc, ebe, es
-				heldELC, heldEBE, heldES = elc, ebe, es
-			} else {
-				// Plausible windows but no computable entropy: hold the
-				// previous value so strategies never see NaN mid-run.
-				tel.TelemetryOK = false
-				tel.ELC, tel.EBE, tel.ES = heldELC, heldEBE, heldES
-				incidents = append(incidents, Incident{Epoch: epoch,
-					Kind: IncidentEntropyHeld, Detail: err.Error()})
-			}
-			heldApps = tel.Apps
-		} else {
-			// Hold the previous healthy observation; before any healthy
-			// epoch exists the apps are empty and the entropies NaN.
-			tel.TimeMs = lastNowMs
-			tel.Apps = heldApps
-			tel.ELC, tel.EBE, tel.ES = heldELC, heldEBE, heldES
-		}
-
-		// Per-application accumulation only for genuinely fresh windows;
-		// held (replayed) observations must not be double counted.
-		violations := 0
-		queued, dropped := 0, 0
-		if winOK {
-			for _, w := range tel.Apps {
-				if w.Spec.Class == workload.LC {
-					queued += w.QueueLen
-					dropped += w.Dropped
-					if w.Violates() {
-						violations++
-					}
-				}
-			}
-		}
-		entropyOK := winOK && tel.TelemetryOK
+		rec := ctl.Step(windows, engine.NowMs())
+		incidents = append(incidents, rec.Incidents...)
 		for _, s := range starts {
-			if !s.measures(epoch) {
-				continue
+			if s.measures(epoch) {
+				s.acc.add(&rec)
 			}
-			acc := &s.acc
-			if entropyOK {
-				acc.elcSum += tel.ELC
-				acc.ebeSum += tel.EBE
-				acc.esSum += tel.ES
-				acc.measured++
-			}
-			if winOK {
-				for j, w := range tel.Apps {
-					a := &acc.apps[j]
-					if w.Spec.Class != workload.LC {
-						a.ipc = append(a.ipc, w.IPC)
-						continue
-					}
-					if !math.IsNaN(w.P95Ms) {
-						a.p95 = append(a.p95, w.P95Ms)
-					}
-					a.compl += w.Completed
-					a.drops += w.Dropped
-					if w.Violates() {
-						a.viol++
-					}
-				}
-			}
-			acc.epochs++
-			acc.viol += violations
-		}
-
-		cur := engine.Allocation()
-		next, panicMsg := SafeDecide(strategy, tel, cur)
-		if panicMsg != "" {
-			incidents = append(incidents, Incident{Epoch: epoch,
-				Kind: IncidentStrategyPanic, Detail: panicMsg})
-			next = cur // hold the in-force allocation
-		}
-		adjusted := !next.Equal(cur)
-		suppressed := false
-		if adjusted {
-			if epoch < backoffUntil {
-				// The actuator was recently rejecting even the known-good
-				// allocation; do not hammer it.
-				adjusted, suppressed = false, true
-			} else if err := engine.SetAllocation(next); err == nil {
-				rejectStreak, backoffLen = 0, 0
-				lastGood = engine.Allocation()
-				for _, s := range starts {
-					if s.measures(epoch) {
-						s.acc.adjustments++
-					}
-				}
-			} else {
-				adjusted = false
-				rejectStreak++
-				incidents = append(incidents, Incident{Epoch: epoch,
-					Kind: IncidentAllocationRejected, Detail: err.Error()})
-				if rejectStreak >= maxApplyRetries {
-					rejectStreak = 0
-					if fbErr := engine.SetAllocation(lastGood); fbErr != nil {
-						incidents = append(incidents, Incident{Epoch: epoch,
-							Kind: IncidentFallbackRejected, Detail: fbErr.Error()})
-						if backoffLen == 0 {
-							backoffLen = 1
-						} else if backoffLen*2 <= maxBackoffEpochs {
-							backoffLen *= 2
-						} else {
-							backoffLen = maxBackoffEpochs
-						}
-						backoffUntil = epoch + 1 + backoffLen
-					}
-				}
-			}
-		}
-		degraded := suppressed || len(incidents) > epochIncidents
-		if degraded {
-			degradedEpochs++
 		}
 		if base.RecordTimeline {
-			timeline = append(timeline, EpochRecord{
-				TimeMs:       tel.TimeMs,
-				Apps:         tel.Apps,
-				ELC:          tel.ELC,
-				EBE:          tel.EBE,
-				ES:           tel.ES,
-				Allocation:   engine.Allocation(),
-				Adjusted:     adjusted,
-				LCViolations: violations,
-				QueuedTotal:  queued,
-				DroppedTotal: dropped,
-				TelemetryOK:  tel.TelemetryOK,
-				Degraded:     degraded,
-				Incidents:    incidents[epochIncidents:len(incidents):len(incidents)],
-			})
+			rec.Allocation = engine.Allocation()
+			timeline = append(timeline, rec)
 		}
-
 		for i := range hs {
 			if h := &hs[i]; h.total == epoch+1 {
-				h.cut(engine, specs, name, degradedEpochs, incidents, timeline)
+				h.cut(engine, specs, name, ctl.degraded, incidents, timeline)
 			}
 		}
 	}
@@ -535,7 +598,7 @@ func RunHorizons(engine Engine, strategy sched.Strategy, opts []Options) ([]*Res
 	selectP95s(engine, specs, hs)
 	out := make([]*Result, len(hs))
 	for i := range hs {
-		hs[i].finish(specs, sys)
+		hs[i].finish(specs, ctl.sys)
 		out[i] = hs[i].res
 	}
 	for _, s := range starts {
@@ -681,12 +744,12 @@ func (h *horizon) finish(specs []sched.AppSpec, sys entropy.System) {
 	}
 }
 
-// SamplesFromWindows converts epoch telemetry into entropy inputs, skipping
+// samplesFromWindows converts epoch telemetry into entropy inputs, skipping
 // idle applications (no measurement) and treating a starved application's
 // lower-bound latency as its measured latency; a starved application with
 // no observable lower bound is clamped to a saturated, target-exceeding
 // latency so it still counts against E_LC.
-func SamplesFromWindows(apps []sched.AppWindow) ([]entropy.LCSample, []entropy.BESample) {
+func samplesFromWindows(apps []sched.AppWindow) ([]entropy.LCSample, []entropy.BESample) {
 	var lc []entropy.LCSample
 	var be []entropy.BESample
 	for _, w := range apps {

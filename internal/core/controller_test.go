@@ -155,7 +155,7 @@ func TestSamplesFromWindows(t *testing.T) {
 		{Spec: sched.AppSpec{Name: "b", Class: workload.BE, SoloIPC: 2}, IPC: 1},
 		{Spec: sched.AppSpec{Name: "starved", Class: workload.BE, SoloIPC: 2}, IPC: 0},
 	}
-	lc, be := SamplesFromWindows(apps)
+	lc, be := samplesFromWindows(apps)
 	if len(lc) != 1 || lc[0].Name != "x" {
 		t.Errorf("lc samples = %v", lc)
 	}
@@ -183,7 +183,7 @@ func TestSamplesFromWindowsStarvedLC(t *testing.T) {
 		{"NaN p95, all dropped", sched.AppWindow{Spec: spec, P95Ms: math.NaN(), Dropped: 7}},
 	}
 	for _, c := range cases {
-		lc, _ := SamplesFromWindows([]sched.AppWindow{c.win})
+		lc, _ := samplesFromWindows([]sched.AppWindow{c.win})
 		if len(lc) != 1 {
 			t.Errorf("%s: starved LC app dropped (samples = %v)", c.label, lc)
 			continue
@@ -202,7 +202,7 @@ func TestSamplesFromWindowsStarvedLC(t *testing.T) {
 	// A genuinely idle application (nothing offered, nothing queued) still
 	// yields no sample.
 	idle := sched.AppWindow{Spec: spec, P95Ms: math.NaN()}
-	if lc, _ := SamplesFromWindows([]sched.AppWindow{idle}); len(lc) != 0 {
+	if lc, _ := samplesFromWindows([]sched.AppWindow{idle}); len(lc) != 0 {
 		t.Errorf("idle LC app produced samples: %v", lc)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // (internal/faults). On the paper's testbed it would be the resctrl-backed
 // host. The controller only assumes the contract below; in particular
 // RunWindow may return no windows (telemetry dropped) and NowMs may fail to
-// advance (telemetry replayed stale), both of which Run degrades through
-// instead of aborting.
+// advance (telemetry replayed stale), both of which the Controller
+// degrades through instead of aborting.
 type Engine interface {
 	// Spec describes the controllable node.
 	Spec() machine.Spec

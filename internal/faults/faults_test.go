@@ -7,7 +7,6 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/faults"
 	"ahq/internal/machine"
-	"ahq/internal/rdt"
 	"ahq/internal/sched/arq"
 	"ahq/internal/sim"
 	"ahq/internal/trace"
@@ -244,28 +243,5 @@ func TestStaleBeforeFirstWindowInjectsNothing(t *testing.T) {
 	}
 	if got := len(res.Incidents); got != 0 {
 		t.Errorf("incidents = %d, want 0", got)
-	}
-}
-
-// TestHostWrapperFailsAtPlannedEpochs covers the rdt.Host path used by the
-// daemon: Apply fails exactly at the plan's epochs.
-func TestHostWrapperFailsAtPlannedEpochs(t *testing.T) {
-	plan, err := faults.Parse("apply@2x2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.NewInjector(plan)
-	host := inj.Host(rdt.NewSimHost(testEngine(t, 9)))
-	alloc := machine.AllShared(machine.DefaultSpec(), machine.FairShare,
-		[]string{"xapian", "moses", "stream"})
-	for epoch := 0; epoch < 5; epoch++ {
-		host.SetEpoch(epoch)
-		err := host.Apply(alloc)
-		if wantFail := epoch == 2 || epoch == 3; (err != nil) != wantFail {
-			t.Errorf("epoch %d: Apply err = %v, want failure=%v", epoch, err, wantFail)
-		}
-	}
-	if got := inj.Stats().ApplyFailures; got != 2 {
-		t.Errorf("ApplyFailures = %d, want 2", got)
 	}
 }

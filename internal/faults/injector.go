@@ -6,7 +6,6 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
-	"ahq/internal/rdt"
 	"ahq/internal/sched"
 	"ahq/internal/workload"
 )
@@ -30,8 +29,8 @@ func (s Stats) Total() int {
 }
 
 // Injector owns one fault plan and hands out the wrappers that enact it.
-// One injector is meant to wrap the pieces of one run (engine + strategy,
-// or host); its Stats then account for every fault that run absorbed. Not
+// One injector is meant to wrap the pieces of one run (engine and
+// strategy); its Stats then account for every fault that run absorbed. Not
 // safe for concurrent use, matching the engine it wraps.
 type Injector struct {
 	plan  *Plan
@@ -191,34 +190,3 @@ func (s *Strategy) Decide(t sched.Telemetry, current machine.Allocation) machine
 }
 
 var _ sched.Strategy = (*Strategy)(nil)
-
-// Host wraps an rdt.Host with epoch-indexed Apply failures, for callers
-// that drive the host directly instead of through core.Run (the ahqd
-// daemon). The caller advances the epoch once per monitoring interval.
-type Host struct {
-	inner rdt.Host
-	in    *Injector
-	epoch int
-}
-
-// Host wraps a host with this injector's plan.
-func (in *Injector) Host(inner rdt.Host) *Host {
-	return &Host{inner: inner, in: in}
-}
-
-// SetEpoch positions the host at a controller epoch.
-func (h *Host) SetEpoch(epoch int) { h.epoch = epoch }
-
-// Spec implements rdt.Host.
-func (h *Host) Spec() machine.Spec { return h.inner.Spec() }
-
-// Apply implements rdt.Host, failing at the plan's ApplyFail epochs.
-func (h *Host) Apply(a machine.Allocation) error {
-	if h.in.plan.ActiveAt(h.epoch, ApplyFail) {
-		h.in.stats.ApplyFailures++
-		return fmt.Errorf("faults: injected apply failure at epoch %d", h.epoch)
-	}
-	return h.inner.Apply(a)
-}
-
-var _ rdt.Host = (*Host)(nil)

@@ -1,8 +1,11 @@
 // Package faults provides deterministic fault injection for the Ah-Q
 // controller: a seeded, epoch-indexed fault plan plus wrappers for the
-// engine (core.Engine), the enforcement host (rdt.Host), and the strategy
-// (sched.Strategy) that make the planned faults happen — rejected applies,
-// dropped/stale/NaN-corrupted telemetry windows, and strategy panics.
+// engine (core.Engine, whose SetAllocation is also the enforcement path)
+// and the strategy (sched.Strategy) that make the planned faults happen —
+// rejected applies, dropped/stale/NaN-corrupted telemetry windows, and
+// strategy panics. Plan epochs are controller epochs (core.Controller.Step
+// calls): the engine wrapper counts RunWindow calls, one per Step, and the
+// strategy wrapper reads the epoch the controller hands Decide.
 // Everything is reproducible from the plan alone: the same plan against the
 // same seeded engine yields byte-identical runs, and an empty plan makes
 // every wrapper a pass-through, so the zero-fault path is a true no-op.

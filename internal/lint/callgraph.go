@@ -16,7 +16,7 @@ import (
 //     one) resolve to the declared *types.Func.
 //   - Interface dispatch: a method call through an interface declared in
 //     this module (the repo's small interface vocabulary — sched.Strategy,
-//     core.Engine, rdt.Host, trace.Load, ... ) fans out to the same-named
+//     core.Engine, trace.Load, ... ) fans out to the same-named
 //     method of every module-declared concrete type whose method set
 //     satisfies the interface. Interfaces declared outside the module
 //     (error, io.Writer) are not resolved: their implementation sets are

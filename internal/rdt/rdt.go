@@ -1,10 +1,10 @@
-// Package rdt is the resource-control host layer: the interface through
-// which the Ah-Q controller applies an allocation to a machine, and a
-// translation from region-based allocations to Intel RDT configuration —
-// CAT classes of service with contiguous way bitmasks, MBA throttling
-// percentages, and taskset-style core lists. On the paper's testbed this
-// layer would shell out to resctrl; in this reproduction the simulator
-// implements the same interface.
+// Package rdt renders a region-based allocation as Intel RDT
+// configuration: CAT classes of service with contiguous way bitmasks, MBA
+// throttling percentages, and taskset-style core lists. The controller
+// enforces an allocation through core.Engine.SetAllocation — the simulator
+// in this reproduction — and BuildPlan shows how the same allocation would
+// be laid out on the paper's testbed, where it would go to resctrl (the
+// ahqd daemon serves it at /v1/allocation).
 package rdt
 
 import (
@@ -13,15 +13,6 @@ import (
 
 	"ahq/internal/machine"
 )
-
-// Host abstracts whatever enforces an allocation: the simulator here, or a
-// real resctrl/taskset backend on hardware.
-type Host interface {
-	// Spec describes the controllable node.
-	Spec() machine.Spec
-	// Apply enforces the allocation.
-	Apply(machine.Allocation) error
-}
 
 // CLOS is one class of service in a CAT/MBA plan: the concrete hardware
 // configuration for one region.

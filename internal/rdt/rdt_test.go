@@ -6,9 +6,6 @@ import (
 	"testing/quick"
 
 	"ahq/internal/machine"
-	"ahq/internal/sim"
-	"ahq/internal/trace"
-	"ahq/internal/workload"
 )
 
 func arqStyleAlloc() machine.Allocation {
@@ -129,40 +126,5 @@ func TestPlanString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("plan string missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestSimHostApplies(t *testing.T) {
-	x := workload.MustLC("xapian")
-	st := workload.MustBE("stream")
-	engine, err := sim.New(sim.Config{
-		Spec: machine.DefaultSpec(),
-		Seed: 1,
-		Apps: []sim.AppConfig{
-			{LC: &x, Load: trace.Constant(0.2)},
-			{BE: &st},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := NewSimHost(engine)
-	if host.Spec() != machine.DefaultSpec() {
-		t.Error("Spec mismatch")
-	}
-	good := machine.Allocation{Regions: []machine.Region{
-		{Name: "iso:xapian", Kind: machine.Isolated, Cores: 4, Ways: 8, BWUnits: 4, Apps: []string{"xapian"}},
-		{Name: "shared", Kind: machine.Shared, Cores: 6, Ways: 12, BWUnits: 6, Apps: []string{"stream", "xapian"}},
-	}}
-	if err := host.Apply(good); err != nil {
-		t.Fatalf("valid allocation rejected: %v", err)
-	}
-	if !engine.Allocation().Equal(good) {
-		t.Error("allocation not installed")
-	}
-	bad := good.Clone()
-	bad.Regions[0].Cores = 40
-	if err := host.Apply(bad); err == nil {
-		t.Error("overcommitted allocation applied")
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ahq/internal/machine"
 	"ahq/internal/metrics"
@@ -241,14 +242,21 @@ func windowTicks(windowMs, tick float64) int64 {
 
 // snapshot drains the per-window accumulators into AppWindow observations.
 // elapsedMs is the simulated time the window actually covered, the
-// normaliser for offered rates and BE IPC.
+// normaliser for offered rates and BE IPC. With no run mark live nothing
+// reads a closed window's latencies again, so each latency buffer empties:
+// an engine that is never marked (the ahqd daemon's) keeps at most one
+// window of them.
 func (e *Engine) snapshot(elapsedMs float64) []sched.AppWindow {
+	marked := slices.Contains(e.marks, true)
 	out := e.snapBuf[:0]
 	for _, a := range e.apps {
 		w := sched.AppWindow{Spec: e.specOf(a)}
 		if a.class == workload.LC {
 			st := metrics.TailStats(a.lat[a.winStart:], a.dropped)
 			a.winStart, a.dropped = len(a.lat), 0
+			if !marked {
+				a.lat, a.winStart = a.lat[:0], 0
+			}
 			w.P95Ms, w.MeanMs = st.P95, st.Mean
 			w.Completed, w.Dropped = st.Completed, st.Dropped
 			w.QueueLen = a.pendingLen()

@@ -88,7 +88,7 @@ func TestOverlappingMarksMatchFreshEngines(t *testing.T) {
 }
 
 // TestReleasedMarkIsReused: a released mark id is handed out again, so an
-// engine marked once per window (the daemon) keeps one mark's state.
+// engine marked once per window keeps one mark's state.
 func TestReleasedMarkIsReused(t *testing.T) {
 	e := newReuseEngine(t, 5, 0.7)
 	m := e.MarkRun()
@@ -103,5 +103,27 @@ func TestReleasedMarkIsReused(t *testing.T) {
 	e.ReleaseRun(m) // releasing a dead mark is a no-op
 	if len(e.marks) != 1 || e.marks[0] {
 		t.Errorf("mark slots %v; want one, released", e.marks)
+	}
+}
+
+// TestUnmarkedEngineKeepsOneWindow: with no run mark live nothing reads a
+// closed window's latencies, so each latency buffer is empty once a window
+// closes and an engine that is never marked (the ahqd daemon's) holds at
+// most the open window's latencies.
+func TestUnmarkedEngineKeepsOneWindow(t *testing.T) {
+	e := newReuseEngine(t, 5, 0.7)
+	completed := 0
+	for i := 0; i < 50; i++ {
+		for _, w := range e.RunWindow(500) {
+			completed += w.Completed
+		}
+		for _, a := range e.apps {
+			if n := len(a.lat); n > 0 {
+				t.Fatalf("window %d: %s keeps %d latencies with no mark live", i, a.name, n)
+			}
+		}
+	}
+	if completed == 0 {
+		t.Fatal("no request completed; the check never ran")
 	}
 }

@@ -12,9 +12,10 @@ import (
 // TestWindowSizeDoesNotChangeDynamics: the monitoring window is an
 // observation boundary, not a simulation boundary — running the same seed
 // with 250 ms windows and with 500 ms windows must produce identical
-// request-level latencies as long as no allocation changes. Each window's
-// tail selection reorders that window's latencies in place, so the runs
-// are compared as sorted multisets.
+// request-level latencies as long as no allocation changes. Each engine
+// is marked at the start so it keeps every latency. Each window's tail
+// selection reorders that window's latencies in place, so the runs are
+// compared as sorted multisets.
 func TestWindowSizeDoesNotChangeDynamics(t *testing.T) {
 	build := func() *Engine {
 		x, m := workload.MustLC("xapian"), workload.MustLC("moses")
@@ -31,6 +32,7 @@ func TestWindowSizeDoesNotChangeDynamics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.MarkRun()
 		return e
 	}
 

@@ -33,18 +33,23 @@ type Step struct {
 // Steps is a piecewise-constant load profile.
 type Steps []Step
 
-// NewSteps validates and sorts a piecewise-constant profile.
+// NewSteps validates and sorts a piecewise-constant profile: every start
+// must be finite (a NaN would also break the sort) and every load in
+// [0,1], NaN rejected.
 func NewSteps(steps ...Step) (Steps, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("trace: empty step profile")
 	}
-	out := append(Steps(nil), steps...)
-	sort.Slice(out, func(i, j int) bool { return out[i].StartMs < out[j].StartMs })
-	for _, s := range out {
-		if s.Frac < 0 || s.Frac > 1 {
+	for _, s := range steps {
+		if math.IsNaN(s.StartMs) || math.IsInf(s.StartMs, 0) {
+			return nil, fmt.Errorf("trace: step start %g ms is not finite", s.StartMs)
+		}
+		if !(s.Frac >= 0 && s.Frac <= 1) {
 			return nil, fmt.Errorf("trace: step load %.3g outside [0,1]", s.Frac)
 		}
 	}
+	out := append(Steps(nil), steps...)
+	sort.Slice(out, func(i, j int) bool { return out[i].StartMs < out[j].StartMs })
 	return out, nil
 }
 

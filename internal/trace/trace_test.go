@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -36,14 +37,18 @@ func TestStepsLookup(t *testing.T) {
 }
 
 func TestStepsValidation(t *testing.T) {
-	if _, err := NewSteps(); err == nil {
-		t.Error("empty profile accepted")
-	}
-	if _, err := NewSteps(Step{0, 1.5}); err == nil {
-		t.Error("load > 1 accepted")
-	}
-	if _, err := NewSteps(Step{0, -0.1}); err == nil {
-		t.Error("negative load accepted")
+	for label, steps := range map[string][]Step{
+		"empty profile": nil,
+		"load > 1":      {{0, 1.5}},
+		"negative load": {{0, -0.1}},
+		"NaN load":      {{0, 0.2}, {1000, math.NaN()}},
+		"NaN start":     {{0, 0.2}, {math.NaN(), 0.5}},
+		"+Inf start":    {{math.Inf(1), 0.5}},
+		"-Inf start":    {{math.Inf(-1), 0.5}},
+	} {
+		if _, err := NewSteps(steps...); err == nil {
+			t.Errorf("%s accepted", label)
+		}
 	}
 }
 
